@@ -353,7 +353,7 @@ pub fn sharded_mean_into(parts: &[Tensor], out: &mut Tensor, shards: usize) -> u
 
 /// The pooled merge component: owns the fold scratch (and the shard width)
 /// so repeated merges allocate nothing beyond the output tensor. One lives
-/// on the exchange engine; the threaded runtime keeps one per rank.
+/// on every exchange engine, a rank's one-lane engine included.
 #[derive(Debug)]
 pub struct AggMerger {
     plan: AggregationPlan,
@@ -393,7 +393,7 @@ impl AggMerger {
 
     /// Merges gathered encoded contributions under the requested plan
     /// (downgraded per method), in rank order — the `Allgather` merge the
-    /// threaded runtime and the reference tests drive directly.
+    /// real ranks and the reference tests drive directly.
     ///
     /// # Panics
     ///
@@ -408,34 +408,20 @@ impl AggMerger {
         let n = parts.len() as u64;
         let dense_bytes = n * (parts[0].ctx.shape.len() * 4) as u64;
         match plan {
-            AggregationPlan::DecodeThenMerge => {
+            AggregationPlan::DecodeThenMerge | AggregationPlan::ShardedMerge => {
                 let t0 = Instant::now();
                 let decoded: Vec<Tensor> = parts
                     .iter()
                     .map(|e| compressor.decompress(&e.payloads, &e.ctx))
                     .collect();
                 let decode_cpu_ns = elapsed_ns(t0);
-                let t1 = Instant::now();
-                let out = compressor.aggregate(decoded);
-                let merge_cpu_ns = elapsed_ns(t1);
-                (
-                    out,
-                    MergeStats {
-                        plan,
-                        incast_bytes: dense_bytes,
-                        decode_cpu_ns,
-                        merge_cpu_ns,
-                    },
-                )
-            }
-            AggregationPlan::ShardedMerge => {
-                let t0 = Instant::now();
-                let decoded: Vec<Tensor> = parts
-                    .iter()
-                    .map(|e| compressor.decompress(&e.payloads, &e.ctx))
-                    .collect();
-                let decode_cpu_ns = elapsed_ns(t0);
-                let (out, merge_cpu_ns) = sharded_mean_in_place(decoded, self.shards);
+                let (out, merge_cpu_ns) = if plan == AggregationPlan::ShardedMerge {
+                    sharded_mean_in_place(decoded, self.shards)
+                } else {
+                    let t1 = Instant::now();
+                    let out = compressor.aggregate(decoded);
+                    (out, elapsed_ns(t1))
+                };
                 (
                     out,
                     MergeStats {
@@ -481,23 +467,12 @@ impl AggMerger {
         out: &mut Tensor,
     ) -> u64 {
         assert!(!parts.is_empty(), "cannot aggregate zero contributions");
-        let incast_bytes: u64 = parts.iter().map(|p| p.wire_bytes() as u64).sum();
-        out.reset_for(&parts[0].ctx.shape);
-        let h = compressor
-            .homomorphic()
-            .expect("compressor does not support HomomorphicSum");
-        let acc = out.as_mut_slice();
         for (w, part) in parts.iter().enumerate() {
-            h.fold_encoded(
-                PayloadList::Owned(&part.payloads),
-                &part.ctx,
-                acc,
-                w == 0,
-                &mut self.scratch,
-            );
+            let payloads = PayloadList::Owned(&part.payloads);
+            self.fold_part_into(compressor, payloads, &part.ctx, out, w == 0);
         }
-        h.finish_mean(acc, parts.len());
-        incast_bytes
+        self.finish_fold(compressor, out, parts.len());
+        parts.iter().map(|p| p.wire_bytes() as u64).sum()
     }
 
     /// Streaming variant of [`AggMerger::fold_homomorphic_into`] for

@@ -1,19 +1,14 @@
 //! The shared gradient-exchange engine: one implementation of Algorithm 1's
 //! compress → memory-update → exchange → aggregate sequence for every
-//! execution mode.
-//!
-//! Before this module existed the sequence was hand-inlined three times —
-//! [`crate::trainer::run_simulated`], the worker loop of
-//! [`crate::threaded::run_threaded`], and the local-SGD/gossip schedules in
-//! [`crate::replicated`] — with drift-prone variations. [`GradientExchange`]
-//! now owns the per-worker fleet (one [`Compressor`] + one [`Memory`] per
-//! worker) and exposes the whole sequence as single calls returning the
-//! aggregated tensors plus a structured [`ExchangeReport`]: wire bytes per
-//! fused bucket, per-stage compress/decompress/aggregate timings and element
-//! counts. Aggregation *structure* — not just ratio — determines end-to-end
-//! behaviour (THC; "Beyond Throughput and Compression Ratios"), so the fused
-//! bucket is a first-class type here ([`BucketReport`]) rather than a loose
-//! byte tally.
+//! execution mode. The simulator and the replicated schedules drive a fleet
+//! of lanes in process; each rank of a threaded or socket cluster drives a
+//! one-lane engine whose steps end in one collective per fusion bucket
+//! ([`BucketedExchange::finish_over`]). Every step returns the aggregated
+//! tensors plus a structured [`ExchangeReport`]: wire bytes per fused
+//! bucket, per-stage timings and element counts. Aggregation *structure* —
+//! not just ratio — determines end-to-end behaviour (THC; "Beyond
+//! Throughput and Compression Ratios"), so the fused bucket is a
+//! first-class type here ([`BucketReport`]) rather than a loose byte tally.
 //!
 //! # Parallel per-worker compression
 //!
@@ -44,12 +39,15 @@ use crate::aggregation::{effective_plan, sharded_mean_in_place, AggMerger, Aggre
 use crate::bucket::BucketPlan;
 use crate::compressor::{CommStrategy, Compressor, Context};
 use crate::memory::Memory;
-use crate::payload::{self, Payload};
-use grace_comm::TrafficCounter;
+use crate::payload::{self, Payload, PayloadError, PayloadList, PayloadView};
+use grace_comm::{
+    ClusterError, ClusterIntrospect, Collective, FaultyCollective, GatherFrames, TrafficCounter,
+};
 use grace_telemetry::{
     enabled, metrics, recorder, trace, Histogram, HistogramHandle, Level, Stage, StageTimer, Track,
 };
 use grace_tensor::Tensor;
+use std::ops::Range;
 
 const NS_PER_SEC: f64 = 1e9;
 
@@ -66,13 +64,8 @@ pub struct EncodedTensor {
 impl EncodedTensor {
     /// Transmitted bytes: payload bytes plus context scalars (4 bytes each).
     pub fn wire_bytes(&self) -> usize {
-        wire_bytes(&self.payloads, &self.ctx)
+        payload::total_bytes(&self.payloads) + self.ctx.meta_bytes()
     }
-}
-
-/// Wire bytes of one worker's compressed tensor: payloads + context scalars.
-pub fn wire_bytes(payloads: &[Payload], ctx: &Context) -> usize {
-    payload::total_bytes(payloads) + ctx.meta_bytes()
 }
 
 /// Accounting for one fused collective buffer.
@@ -145,12 +138,6 @@ impl ExchangeReport {
         self.compress_seconds.iter().fold(0.0f64, |a, &b| a.max(b))
     }
 
-    /// Wall codec cost of the step under concurrent workers: slowest
-    /// compress lane plus the (serial) aggregation decode.
-    pub fn codec_wall_seconds(&self) -> f64 {
-        self.max_compress_seconds() + self.decompress_seconds + self.aggregate_seconds
-    }
-
     /// Payload bytes generated across all workers this step.
     pub fn total_payload_bytes(&self) -> u64 {
         self.payload_bytes.iter().sum()
@@ -178,9 +165,8 @@ impl ExchangeReport {
     /// Wall codec cost of a pipelined step: the slowest rank's *exposed*
     /// encode (final-bucket work that cannot overlap backprop), plus
     /// whatever hidden encode exceeded the compute it hid under, plus the
-    /// serial decode/aggregate tail. Collapses to
-    /// [`codec_wall_seconds`](Self::codec_wall_seconds) when nothing was
-    /// hidden.
+    /// serial decode/aggregate tail. With nothing hidden it is the slowest
+    /// compress lane plus that tail.
     pub fn codec_wall_seconds_overlapped(&self, compute_seconds: f64) -> f64 {
         let mut max_exposed = 0.0f64;
         let mut max_hidden = 0.0f64;
@@ -352,7 +338,7 @@ const QB_RATIO: [&str; QUALITY_BUCKETS] = [
 /// Pure observation — gauges gate on the telemetry level internally and
 /// the instants gate on trace/recorder state, so recording here can never
 /// perturb the update math (bit-equivalence holds with sensors on or off).
-pub(crate) struct QualitySensors {
+struct QualitySensors {
     /// Latest sampled per-bucket relative approximation error
     /// ‖φ − Q⁻¹(Q(φ))‖/‖φ‖ in parts-per-million.
     err: [metrics::Gauge; QUALITY_BUCKETS],
@@ -364,7 +350,7 @@ pub(crate) struct QualitySensors {
 }
 
 impl QualitySensors {
-    pub(crate) fn resolve() -> Self {
+    fn resolve() -> Self {
         QualitySensors {
             err: std::array::from_fn(|b| metrics::gauge(QB_ERR[b])),
             ratio: std::array::from_fn(|b| metrics::gauge(QB_RATIO[b])),
@@ -373,7 +359,7 @@ impl QualitySensors {
     }
 
     /// Records a sampled relative approximation error for `bucket`.
-    pub(crate) fn record_error(&self, bucket: usize, rel_err: f64) {
+    fn record_error(&self, bucket: usize, rel_err: f64) {
         let b = bucket.min(QUALITY_BUCKETS - 1);
         let ppm = (rel_err * 1e6).round();
         self.err[b].set(ppm);
@@ -386,7 +372,7 @@ impl QualitySensors {
     }
 
     /// Records the effective compression ratio of one drained bucket.
-    pub(crate) fn record_ratio(&self, bucket: usize, elements: usize, wire_bytes: usize) {
+    fn record_ratio(&self, bucket: usize, elements: usize, wire_bytes: usize) {
         if wire_bytes == 0 || elements == 0 {
             return;
         }
@@ -402,7 +388,7 @@ impl QualitySensors {
     }
 
     /// Records the fleet's mean stored-residual norm.
-    pub(crate) fn record_residual(&self, norm: f64) {
+    fn record_residual(&self, norm: f64) {
         self.residual.set(norm);
     }
 }
@@ -410,8 +396,9 @@ impl QualitySensors {
 /// One worker's private compression lane: its compressor, its (optional)
 /// error-feedback memory, and its codec-time accumulator.
 ///
-/// The threaded runtime drives a single lane per OS thread; the engine owns
-/// one lane per worker and runs them on the scoped-thread executor.
+/// The in-process engine owns one lane per worker and runs them on the
+/// scoped-thread executor; a rank of a real cluster drives a one-lane
+/// engine ([`GradientExchange::for_rank`]).
 pub struct WorkerLane<'a> {
     rank: usize,
     compressor: &'a mut dyn Compressor,
@@ -462,12 +449,6 @@ impl<'a> WorkerLane<'a> {
     /// The lane's communication strategy.
     pub fn strategy(&self) -> CommStrategy {
         self.compressor.strategy()
-    }
-
-    /// Direct access to the compressor (the threaded runtime decompresses
-    /// gathered peer contributions with it).
-    pub fn compressor_mut(&mut self) -> &mut dyn Compressor {
-        self.compressor
     }
 
     /// Accumulated compress + own-decompress wall seconds.
@@ -521,7 +502,7 @@ impl<'a> WorkerLane<'a> {
     /// Takes the most recent sampled relative approximation error. Callers
     /// that know the tensor→bucket mapping pull this right after an encode
     /// and attribute it to the covering fusion bucket.
-    pub(crate) fn take_quality_error(&mut self) -> Option<f64> {
+    fn take_quality_error(&mut self) -> Option<f64> {
         self.last_rel_err.take()
     }
 
@@ -663,7 +644,8 @@ enum SessionMode {
 /// that persists across steps on the engine, so the steady-state submit
 /// path allocates nothing once the plan's shapes have been seen.
 struct LaneStager {
-    /// Plan-indexed pooled copies of submitted gradients.
+    /// Plan-indexed pooled copies of gradients submitted ahead of the
+    /// cursor (in-order submissions encode without a copy).
     staged: Vec<Tensor>,
     filled: Vec<bool>,
     /// Plan-indexed encode outputs ([`SessionMode::Encoded`]).
@@ -734,26 +716,47 @@ impl LaneStager {
         self.codec_before = codec_before;
     }
 
-    /// Stages one submission into plan slot `idx`.
-    fn stage(&mut self, idx: usize, grad: &Tensor) {
-        self.staged[idx].copy_from(grad);
-        self.filled[idx] = true;
-        self.submitted += 1;
-    }
-
-    /// Encodes every contiguously-filled slot at the cursor — the canonical
-    /// per-lane encode order is *plan* order, independent of submission
-    /// order, which keeps sequential-RNG compressors (QSGD, RandomK)
-    /// bit-identical for any arrival interleaving. Attributes time and
-    /// bytes to the covering bucket and emits a `buckets`-track span when a
-    /// bucket's last tensor encodes. Returns the number of buckets this
-    /// call completed on this lane.
-    fn advance(
+    /// Takes one submission: finds its plan slot, then encodes every slot
+    /// the cursor can now reach. The canonical per-lane encode order is
+    /// *plan* order, independent of submission order, which keeps
+    /// sequential-RNG compressors (QSGD, RandomK) bit-identical for any
+    /// arrival interleaving. A submission that lands on the cursor encodes
+    /// straight from the caller's tensor; only early arrivals are copied
+    /// into the pooled staging slot. Attributes time and bytes to the
+    /// covering bucket and emits a `buckets`-track span when a bucket's last
+    /// tensor encodes. Returns the number of buckets this call completed on
+    /// this lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the `(name, len)` pair matches no unfilled plan slot.
+    fn submit(
         &mut self,
         lane: &mut WorkerLane<'_>,
         plan: &BucketPlan,
         mode: SessionMode,
+        name: &str,
+        grad: &Tensor,
     ) -> usize {
+        // Fast path: submissions arriving in plan order land on the next
+        // unfilled slot directly; anything else falls back to a scan.
+        let hint = self.submitted;
+        let slot = if plan.matches(hint, name, grad.len()) && !self.filled[hint] {
+            hint
+        } else {
+            plan.slot_of(name, grad.len(), &self.filled)
+                .unwrap_or_else(|| {
+                    panic!(
+                        "submission '{name}' ({} elements) does not match the bucket plan",
+                        grad.len()
+                    )
+                })
+        };
+        self.filled[slot] = true;
+        self.submitted += 1;
+        if slot != self.cursor {
+            self.staged[slot].copy_from(grad);
+        }
         let mut completed = 0;
         while self.cursor < plan.n_tensors() && self.filled[self.cursor] {
             let idx = self.cursor;
@@ -761,21 +764,24 @@ impl LaneStager {
             if self.window.is_none() {
                 self.window = Some(StageTimer::start());
             }
+            let staged = std::mem::take(&mut self.staged);
+            let src = if idx == slot { grad } else { &staged[idx] };
             let before_ns = lane.codec_ns;
             let bytes = match mode {
                 SessionMode::Encoded => {
-                    let enc = lane.encode(plan.name(idx), &self.staged[idx]);
+                    let enc = lane.encode(plan.name(idx), src);
                     let bytes = enc.wire_bytes() as u64;
                     self.encoded[idx] = Some(enc);
                     bytes
                 }
                 SessionMode::Decoded => {
-                    let (enc, view) = lane.encode_decode(plan.name(idx), &self.staged[idx]);
+                    let (enc, view) = lane.encode_decode(plan.name(idx), src);
                     let bytes = enc.wire_bytes() as u64;
                     self.decoded[idx] = Some(view);
                     bytes
                 }
             };
+            self.staged = staged;
             self.bucket_ns[b] += lane.codec_ns - before_ns;
             self.bucket_bytes[b] += bytes;
             if let Some(e) = lane.take_quality_error() {
@@ -819,6 +825,8 @@ struct PipelineState {
     /// Sealed-but-unaggregated bucket instances across lanes (the queue
     /// depth mirrored into the `exchange.buckets_in_flight` gauge).
     in_flight: u64,
+    /// Pooled gather buffer a rank engine parses received frames from.
+    frames: GatherFrames,
 }
 
 /// Stage-time and incast accumulators one exchange step's aggregation path
@@ -830,6 +838,30 @@ struct AggAccum {
     aggregate_ns: u64,
     aggregate_cpu_ns: u64,
     incast_bytes: u64,
+}
+
+impl AggAccum {
+    /// The step report: these merge accumulators plus the per-lane encode
+    /// accounting (all three vectors indexed by lane).
+    fn report(
+        self,
+        buckets: Vec<BucketReport>,
+        compress_seconds: Vec<f64>,
+        payload_bytes: Vec<u64>,
+        hidden_encode_seconds: Vec<f64>,
+    ) -> ExchangeReport {
+        ExchangeReport {
+            buckets,
+            compress_seconds,
+            decompress_seconds: self.decompress_ns as f64 / NS_PER_SEC,
+            decompress_cpu_seconds: self.decompress_cpu_ns as f64 / NS_PER_SEC,
+            aggregate_seconds: self.aggregate_ns as f64 / NS_PER_SEC,
+            aggregate_cpu_seconds: self.aggregate_cpu_ns as f64 / NS_PER_SEC,
+            incast_bytes: self.incast_bytes,
+            payload_bytes,
+            hidden_encode_seconds,
+        }
+    }
 }
 
 /// The engine: owns the per-worker lanes and performs whole exchange steps.
@@ -897,6 +929,16 @@ impl<'a> GradientExchange<'a> {
         Self::from_lanes(lanes, strategy)
     }
 
+    /// Builds a one-lane engine for one rank of a real cluster. Its
+    /// sessions stage encodes exactly like the in-process fleet's and end
+    /// with [`BucketedExchange::finish_over`], which replaces the in-process
+    /// merge with one collective per fusion bucket; gathered buckets merge
+    /// under `agg` (downgraded per method).
+    pub fn for_rank(lane: WorkerLane<'a>, agg: AggregationPlan) -> Self {
+        let strategy = lane.strategy();
+        Self::from_lanes(vec![lane], strategy).with_aggregation(agg)
+    }
+
     fn from_lanes(lanes: Vec<WorkerLane<'a>>, strategy: CommStrategy) -> Self {
         let n = lanes.len();
         let auto = std::thread::available_parallelism()
@@ -959,22 +1001,6 @@ impl<'a> GradientExchange<'a> {
                 p
             }
         }
-    }
-
-    /// Replaces the engine's traffic counter with a shared one, so exchange
-    /// reports feed an external [`TrafficCounter`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the counter tracks a different worker count.
-    pub fn with_traffic(mut self, counter: TrafficCounter) -> Self {
-        assert_eq!(
-            counter.n_workers(),
-            self.lanes.len(),
-            "traffic counter must track one slot per worker"
-        );
-        self.traffic = counter;
-        self
     }
 
     /// Number of worker lanes.
@@ -1180,17 +1206,7 @@ impl<'a> GradientExchange<'a> {
         self.quality
             .record_ratio(0, bucket.elements, bucket.wire_bytes);
 
-        let report = ExchangeReport {
-            buckets: vec![bucket],
-            compress_seconds,
-            decompress_seconds: acc.decompress_ns as f64 / NS_PER_SEC,
-            decompress_cpu_seconds: acc.decompress_cpu_ns as f64 / NS_PER_SEC,
-            aggregate_seconds: acc.aggregate_ns as f64 / NS_PER_SEC,
-            aggregate_cpu_seconds: acc.aggregate_cpu_ns as f64 / NS_PER_SEC,
-            incast_bytes: acc.incast_bytes,
-            payload_bytes,
-            hidden_encode_seconds: vec![0.0; n],
-        };
+        let report = acc.report(vec![bucket], compress_seconds, payload_bytes, vec![0.0; n]);
         self.observe_step(&report, acc.decompress_ns, acc.aggregate_ns);
         self.record_traffic(&report);
         (aggregated, report)
@@ -1331,23 +1347,15 @@ impl<'a> GradientExchange<'a> {
         let payload_bytes: Vec<u64> = outs.iter().map(|o| o.2).collect();
         let elements = outs[0].3;
         let views: Vec<Vec<(String, Tensor)>> = outs.into_iter().map(|o| o.0).collect();
-        let report = ExchangeReport {
-            buckets: vec![BucketReport {
-                tensors: n_tensors,
-                elements,
-                // A decoded exchange gathers every worker's compressed
-                // state; the bucket drains at the largest contribution.
-                wire_bytes: payload_bytes.iter().copied().max().unwrap_or(0) as usize,
-            }],
-            compress_seconds,
-            decompress_seconds: 0.0,
-            decompress_cpu_seconds: 0.0,
-            aggregate_seconds: 0.0,
-            aggregate_cpu_seconds: 0.0,
-            incast_bytes: 0,
-            payload_bytes,
-            hidden_encode_seconds: vec![0.0; n],
+        let bucket = BucketReport {
+            tensors: n_tensors,
+            elements,
+            // A decoded exchange gathers every worker's compressed state;
+            // the bucket drains at the largest contribution.
+            wire_bytes: payload_bytes.iter().copied().max().unwrap_or(0) as usize,
         };
+        let report =
+            AggAccum::default().report(vec![bucket], compress_seconds, payload_bytes, vec![0.0; n]);
         (views, report)
     }
 
@@ -1358,8 +1366,18 @@ impl<'a> GradientExchange<'a> {
         &mut self,
         worker_tensors: Vec<Vec<(String, Tensor)>>,
     ) -> (Vec<(String, Tensor)>, ExchangeReport) {
-        let n = self.lanes.len() as f32;
         let (views, report) = self.decoded_views_inner(worker_tensors);
+        self.mean_of_views(views, report)
+    }
+
+    /// Averages per-worker decoded views elementwise in rank order and
+    /// records the step — the local-SGD `Agg` of both decoded-mean paths.
+    fn mean_of_views(
+        &mut self,
+        views: Vec<Vec<(String, Tensor)>>,
+        report: ExchangeReport,
+    ) -> (Vec<(String, Tensor)>, ExchangeReport) {
+        let n = views.len() as f32;
         let mut views = views.into_iter();
         let mut acc = views.next().expect("at least one worker");
         let t0 = StageTimer::start();
@@ -1440,23 +1458,8 @@ impl<'a> GradientExchange<'a> {
         let mode = pipe.mode.expect("no open pipelined session");
         let plan = pipe.plan.as_ref().expect("open session always has a plan");
         assert!(worker < self.lanes.len(), "worker rank out of range");
-        let stager = &mut pipe.stagers[worker];
-        // Fast path: submissions arriving in plan order land on the next
-        // unfilled slot directly; anything else falls back to a scan.
-        let hint = stager.submitted;
-        let idx = if plan.matches(hint, name, grad.len()) && !stager.filled[hint] {
-            hint
-        } else {
-            plan.slot_of(name, grad.len(), &stager.filled)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "submission '{name}' ({} elements) does not match the bucket plan",
-                        grad.len()
-                    )
-                })
-        };
-        stager.stage(idx, grad);
-        let completed = stager.advance(&mut self.lanes[worker], plan, mode);
+        let completed =
+            pipe.stagers[worker].submit(&mut self.lanes[worker], plan, mode, name, grad);
         if completed > 0 {
             pipe.in_flight += completed as u64;
             self.metrics.in_flight.set(pipe.in_flight as f64);
@@ -1487,29 +1490,42 @@ impl<'a> GradientExchange<'a> {
         pipe
     }
 
-    fn pipeline_finish(&mut self) -> (Vec<(String, Tensor)>, ExchangeReport) {
+    /// Encoded-session teardown shared by the in-process fleet and a rank
+    /// engine: walks the plan, lets `aggregate_bucket` turn bucket `b`'s
+    /// encoded slots into its aggregates (plan order) and wire bytes, and
+    /// builds the report. An error abandons the step; the next `begin_*`
+    /// rebuilds the pools.
+    fn pipeline_finish<E>(
+        &mut self,
+        mut aggregate_bucket: impl FnMut(
+            &mut Self,
+            &mut PipelineState,
+            usize,
+            Range<usize>,
+            &mut AggAccum,
+        ) -> Result<(Vec<Tensor>, usize), E>,
+    ) -> Result<(Vec<(String, Tensor)>, ExchangeReport), E> {
         let mut pipe = self.pipeline_take(SessionMode::Encoded);
-        let plan = pipe.plan.as_ref().expect("open session always has a plan");
+        let plan = pipe.plan.take().expect("open session always has a plan");
         let n = self.lanes.len();
 
         let mut aggregated = Vec::with_capacity(plan.n_tensors());
         let mut buckets = Vec::with_capacity(plan.n_buckets());
         let mut acc = AggAccum::default();
         for b in 0..plan.n_buckets() {
-            let mut bucket = BucketReport {
-                tensors: plan.bucket_range(b).len(),
+            let range = plan.bucket_range(b);
+            let (tensors, wire_bytes) =
+                aggregate_bucket(self, &mut pipe, b, range.clone(), &mut acc)?;
+            let bucket = BucketReport {
+                tensors: range.len(),
                 elements: plan.bucket_elements(b),
-                wire_bytes: 0,
+                wire_bytes,
             };
-            for idx in plan.bucket_range(b) {
-                let group: Vec<EncodedTensor> = pipe
-                    .stagers
-                    .iter_mut()
-                    .map(|s| s.encoded[idx].take().expect("cursor covered every slot"))
-                    .collect();
-                let agg = self.aggregate_group(group, &mut bucket, &mut acc);
-                aggregated.push((plan.name(idx).to_string(), agg));
-            }
+            aggregated.extend(
+                range
+                    .zip(tensors)
+                    .map(|(idx, t)| (plan.name(idx).to_string(), t)),
+            );
             let bucket_err = pipe
                 .stagers
                 .iter()
@@ -1525,32 +1541,210 @@ impl<'a> GradientExchange<'a> {
             self.metrics.in_flight.set(pipe.in_flight as f64);
         }
 
-        let compress_seconds: Vec<f64> = self
-            .lanes
-            .iter()
-            .zip(&pipe.stagers)
-            .map(|(lane, s)| lane.codec_seconds() - s.codec_before)
-            .collect();
-        let report = ExchangeReport {
-            buckets,
-            compress_seconds,
-            decompress_seconds: acc.decompress_ns as f64 / NS_PER_SEC,
-            decompress_cpu_seconds: acc.decompress_cpu_ns as f64 / NS_PER_SEC,
-            aggregate_seconds: acc.aggregate_ns as f64 / NS_PER_SEC,
-            aggregate_cpu_seconds: acc.aggregate_cpu_ns as f64 / NS_PER_SEC,
-            incast_bytes: acc.incast_bytes,
-            payload_bytes: pipe.stagers.iter().map(LaneStager::step_bytes).collect(),
-            hidden_encode_seconds: pipe
-                .stagers
-                .iter()
-                .map(LaneStager::hidden_seconds)
-                .collect(),
-        };
+        let report = self.session_report(&pipe, acc, buckets);
         self.metrics.overlap.set(report.overlap_ratio());
         self.observe_step(&report, acc.decompress_ns, acc.aggregate_ns);
-        self.record_traffic(&report);
+        pipe.plan = Some(plan);
         self.pipeline = pipe; // return the pools to the engine
+        Ok((aggregated, report))
+    }
+
+    /// A session's report: `acc` plus every lane's encode accounting.
+    fn session_report(
+        &self,
+        pipe: &PipelineState,
+        acc: AggAccum,
+        buckets: Vec<BucketReport>,
+    ) -> ExchangeReport {
+        let stagers = &pipe.stagers;
+        let compress_seconds = (self.lanes.iter().zip(stagers))
+            .map(|(lane, s)| lane.codec_seconds() - s.codec_before)
+            .collect();
+        let payload_bytes = stagers.iter().map(LaneStager::step_bytes).collect();
+        let hidden = stagers.iter().map(LaneStager::hidden_seconds).collect();
+        acc.report(buckets, compress_seconds, payload_bytes, hidden)
+    }
+
+    /// In-process teardown: each tensor's per-lane contributions merge
+    /// under the fleet's strategy.
+    fn pipeline_finish_local(&mut self) -> (Vec<(String, Tensor)>, ExchangeReport) {
+        let Ok((aggregated, report)) = self.pipeline_finish(|engine, pipe, _, range, acc| {
+            let mut bucket = BucketReport::default();
+            let tensors = range
+                .map(|idx| {
+                    let group: Vec<EncodedTensor> = pipe
+                        .stagers
+                        .iter_mut()
+                        .map(|s| s.encoded[idx].take().expect("cursor covered every slot"))
+                        .collect();
+                    engine.aggregate_group(group, &mut bucket, acc)
+                })
+                .collect();
+            Ok::<_, std::convert::Infallible>((tensors, bucket.wire_bytes))
+        });
+        self.record_traffic(&report);
         (aggregated, report)
+    }
+
+    /// One `try_allreduce_f32` over the bucket's payloads concatenated in
+    /// plan order; each tensor's slice of the sum is averaged over the
+    /// contributors and decoded.
+    fn allreduce_bucket<C: ClusterIntrospect>(
+        &mut self,
+        comm: &FaultyCollective<C>,
+        slots: &mut [Option<EncodedTensor>],
+        acc: &mut AggAccum,
+    ) -> Result<Vec<Tensor>, ClusterError> {
+        let encoded = || {
+            slots
+                .iter()
+                .map(|s| s.as_ref().expect("cursor covered every slot"))
+        };
+        let f32s = || encoded().flat_map(|e| &e.payloads).map(Payload::as_f32);
+        let len = f32s().map(<[f32]>::len).sum();
+        let mut flat = Vec::with_capacity(len);
+        f32s().for_each(|p| flat.extend_from_slice(p));
+        // Payloads merge while compressed: every contributor's copy of the
+        // bucket enters the sum.
+        let bucket_bytes: u64 = encoded().map(|e| e.wire_bytes() as u64).sum();
+        let op = comm.inner().ops_started();
+        let reduction = comm.try_allreduce_f32(flat)?;
+        if reduction.sum.len() != len || reduction.contributors == 0 {
+            return Err(ClusterError::Corrupted {
+                rank: comm.rank(),
+                op,
+                detail: format!(
+                    "allreduce of {len} elements returned {} from {} contributors",
+                    reduction.sum.len(),
+                    reduction.contributors
+                ),
+            });
+        }
+        acc.incast_bytes += bucket_bytes * reduction.contributors as u64;
+        let lane = &mut self.lanes[0];
+        let mut offset = 0;
+        let mut out = Vec::with_capacity(slots.len());
+        for slot in slots.iter_mut() {
+            let enc = slot.take().expect("cursor covered every slot");
+            // Each payload's own buffer takes its slice of the sum.
+            let mean: Vec<Payload> = enc
+                .payloads
+                .into_iter()
+                .map(|p| {
+                    let Payload::F32(mut v) = p else {
+                        unreachable!("allreduce payloads are F32")
+                    };
+                    let end = offset + v.len();
+                    v.copy_from_slice(&reduction.sum[offset..end]);
+                    offset = end;
+                    average_sum(v, reduction.contributors)
+                })
+                .collect();
+            let t0 = StageTimer::start();
+            out.push(lane.compressor.decompress(&mean, &enc.ctx));
+            let ns = t0.finish("decompress", Track::Lane(lane.rank));
+            acc.decompress_ns += ns;
+            acc.decompress_cpu_ns += ns;
+        }
+        Ok(out)
+    }
+
+    /// One allgather of this rank's [`BucketFrame`]; every frame that
+    /// passes its checks merges tensor by tensor, in rank order, under the
+    /// effective aggregation plan.
+    fn gather_bucket<C: ClusterIntrospect>(
+        &mut self,
+        comm: &FaultyCollective<C>,
+        slots: &mut [Option<EncodedTensor>],
+        frames: &mut GatherFrames,
+        acc: &mut AggAccum,
+    ) -> Result<Vec<Tensor>, ClusterError> {
+        let rank = comm.rank();
+        let mut counts = Vec::with_capacity(slots.len());
+        let mut wire = vec![Payload::U32(Vec::new())];
+        for slot in slots.iter_mut() {
+            // Payloads and meta move onto the wire; the context shape
+            // stays behind for the merge.
+            let enc = slot.as_mut().expect("cursor covered every slot");
+            counts.push(enc.payloads.len() as u32 + 1);
+            wire.append(&mut enc.payloads);
+            wire.push(Payload::F32(std::mem::take(&mut enc.ctx.meta)));
+        }
+        wire[0] = Payload::U32(counts);
+        let op = comm.inner().ops_started();
+        comm.try_allgather_frames(payload::encode(&wire), frames)?;
+
+        let mut live = Vec::with_capacity(frames.n_slots());
+        let mut last_error = None;
+        for bytes in (0..frames.n_slots()).filter_map(|r| frames.slot(r)) {
+            match BucketFrame::parse(bytes, slots.len()) {
+                Ok(frame) => {
+                    acc.incast_bytes += bytes.len() as u64;
+                    live.push(frame);
+                }
+                Err(e) => {
+                    comm.stats().record_detected(rank);
+                    last_error = Some(e);
+                }
+            }
+        }
+        if live.is_empty() {
+            return Err(ClusterError::Corrupted {
+                rank,
+                op,
+                detail: last_error
+                    .map(|e| e.to_string())
+                    .unwrap_or_else(|| "no live contributions".to_string()),
+            });
+        }
+        let homomorphic = self.effective_aggregation() == AggregationPlan::HomomorphicSum;
+        let GradientExchange { lanes, merger, .. } = self;
+        let compressor = &mut *lanes[0].compressor;
+        let mut views = [PayloadView::Bytes(&[]); MAX_WIRE_PAYLOADS];
+        let mut meta = Vec::new();
+        let mut out = Vec::with_capacity(slots.len());
+        for slot in slots.iter_mut() {
+            let shape = slot.take().expect("cursor covered every slot").ctx.shape;
+            if homomorphic {
+                // Fold each frame's views straight into the accumulator —
+                // no per-rank payload list is ever materialized.
+                let t0 = StageTimer::start();
+                let mut agg = Tensor::zeros(shape.clone());
+                for (k, frame) in live.iter_mut().enumerate() {
+                    let c = frame.next_tensor(&mut views);
+                    views[c - 1].read_f32s_into(&mut meta);
+                    let ctx = Context::with_meta(shape.clone(), std::mem::take(&mut meta));
+                    let parts = PayloadList::Views(&views[..c - 1]);
+                    merger.fold_part_into(compressor, parts, &ctx, &mut agg, k == 0);
+                    meta = ctx.meta;
+                }
+                merger.finish_fold(compressor, &mut agg, live.len());
+                let ns = t0.finish("aggregate", Track::Lane(rank));
+                acc.aggregate_ns += ns;
+                acc.aggregate_cpu_ns += ns;
+                out.push(agg);
+            } else {
+                let parts: Vec<EncodedTensor> = live
+                    .iter_mut()
+                    .map(|frame| {
+                        let c = frame.next_tensor(&mut views);
+                        let mut meta = Vec::new();
+                        views[c - 1].read_f32s_into(&mut meta);
+                        EncodedTensor {
+                            payloads: views[..c - 1].iter().map(|v| v.to_payload()).collect(),
+                            ctx: Context::with_meta(shape.clone(), meta),
+                        }
+                    })
+                    .collect();
+                let (agg, stats) = merger.merge_gathered(compressor, &parts);
+                acc.decompress_ns += stats.decode_cpu_ns;
+                acc.decompress_cpu_ns += stats.decode_cpu_ns;
+                acc.aggregate_ns += stats.merge_cpu_ns;
+                acc.aggregate_cpu_ns += stats.merge_cpu_ns;
+                out.push(agg);
+            }
+        }
+        Ok(out)
     }
 
     /// Decoded-session teardown: worker-major views in plan order plus the
@@ -1585,27 +1779,7 @@ impl<'a> GradientExchange<'a> {
                     .unwrap_or(0) as usize,
             })
             .collect();
-        let compress_seconds: Vec<f64> = self
-            .lanes
-            .iter()
-            .zip(&pipe.stagers)
-            .map(|(lane, s)| lane.codec_seconds() - s.codec_before)
-            .collect();
-        let report = ExchangeReport {
-            buckets,
-            compress_seconds,
-            decompress_seconds: 0.0,
-            decompress_cpu_seconds: 0.0,
-            aggregate_seconds: 0.0,
-            aggregate_cpu_seconds: 0.0,
-            incast_bytes: 0,
-            payload_bytes: pipe.stagers.iter().map(LaneStager::step_bytes).collect(),
-            hidden_encode_seconds: pipe
-                .stagers
-                .iter()
-                .map(LaneStager::hidden_seconds)
-                .collect(),
-        };
+        let report = self.session_report(&pipe, AggAccum::default(), buckets);
         pipe.in_flight = 0;
         self.metrics.in_flight.set(0.0);
         self.metrics.overlap.set(report.overlap_ratio());
@@ -1633,9 +1807,13 @@ impl<'a> GradientExchange<'a> {
             self.metrics.ratio_x100.record(ratio);
         }
         // Error-feedback pressure: the adaptive control plane's third
-        // quality signal, next to per-bucket error and ratio.
-        if let Some(norm) = self.residual_norm() {
-            self.quality.record_residual(norm);
+        // quality signal, next to per-bucket error and ratio. The gauge
+        // records only at `metrics`, so skip the pass over every residual
+        // below it.
+        if enabled(Level::Metrics) {
+            if let Some(norm) = self.residual_norm() {
+                self.quality.record_residual(norm);
+            }
         }
     }
 
@@ -1708,34 +1886,65 @@ impl<'a> BucketedExchange<'_, 'a> {
     /// Panics if any worker's stream is incomplete or the session was
     /// opened with [`GradientExchange::begin_decoded_step`].
     pub fn finish(self) -> (Vec<(String, Tensor)>, ExchangeReport) {
-        self.engine.pipeline_finish()
+        self.engine.pipeline_finish_local()
+    }
+
+    /// Ends a rank session ([`GradientExchange::for_rank`]) over a real
+    /// collective, issuing **exactly one collective per fusion bucket**:
+    ///
+    /// * `Allreduce` — the bucket's `F32` payloads, concatenated in plan
+    ///   order, go through one `try_allreduce_f32`; each tensor's slice of
+    ///   the sum is averaged over the contributor count and decoded.
+    /// * `Allgather` / `Broadcast` — each rank ships one CRC-trailed
+    ///   bucket frame: a `U32` header of per-tensor payload counts, then
+    ///   each tensor's payloads closed by its `F32` meta. A frame that
+    ///   fails its checksum or structure check is counted with
+    ///   `record_detected` and that rank's whole bucket is dropped,
+    ///   identically on every receiver; the survivors merge tensor by
+    ///   tensor, in rank order.
+    ///
+    /// Encode order, fold order and `Agg` match the in-process fleet, so
+    /// every backend trains the same bits. Returns the aggregates in plan
+    /// order and a one-lane report (bucket wire bytes are this rank's
+    /// contribution); the collective itself accounts the traffic.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the collective's [`ClusterError`]s, and returns
+    /// [`ClusterError::Corrupted`] when no rank's frame of a bucket
+    /// survives its checks or an allreduce answer has the wrong shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine has more than one lane or the stream is
+    /// incomplete.
+    pub fn finish_over<C: ClusterIntrospect>(
+        self,
+        comm: &FaultyCollective<C>,
+    ) -> Result<(Vec<(String, Tensor)>, ExchangeReport), ClusterError> {
+        assert_eq!(
+            self.engine.lanes.len(),
+            1,
+            "finish_over needs a rank engine"
+        );
+        self.engine.pipeline_finish(|engine, pipe, b, range, acc| {
+            let stager = &mut pipe.stagers[0];
+            let slots = &mut stager.encoded[range];
+            let tensors = match engine.strategy {
+                CommStrategy::Allreduce => engine.allreduce_bucket(comm, slots, acc)?,
+                CommStrategy::Allgather | CommStrategy::Broadcast => {
+                    engine.gather_bucket(comm, slots, &mut pipe.frames, acc)?
+                }
+            };
+            Ok((tensors, stager.bucket_bytes[b] as usize))
+        })
     }
 
     /// Ends a decoded session with the local-SGD aggregation: the decoded
     /// views averaged elementwise in rank order, in plan order.
     pub fn finish_decoded_mean(self) -> (Vec<(String, Tensor)>, ExchangeReport) {
-        let n = self.engine.lanes.len() as f32;
         let (views, report) = self.engine.pipeline_finish_decoded();
-        let mut views = views.into_iter();
-        let mut acc = views.next().expect("at least one worker");
-        let t0 = StageTimer::start();
-        for view in views {
-            for (slot, (_, t)) in acc.iter_mut().zip(view) {
-                slot.1.add_assign(&t);
-            }
-        }
-        for (_, t) in acc.iter_mut() {
-            t.scale(1.0 / n);
-        }
-        let aggregate_ns = t0.finish("aggregate", Track::Stage(Stage::Aggregate));
-        let report = ExchangeReport {
-            aggregate_seconds: aggregate_ns as f64 / NS_PER_SEC,
-            aggregate_cpu_seconds: aggregate_ns as f64 / NS_PER_SEC,
-            ..report
-        };
-        self.engine.observe_step(&report, 0, aggregate_ns);
-        self.engine.record_traffic(&report);
-        (acc, report)
+        self.engine.mean_of_views(views, report)
     }
 
     /// Ends a decoded session returning each worker's own reconstruction in
@@ -1746,6 +1955,99 @@ impl<'a> BucketedExchange<'_, 'a> {
         self.engine.observe_step(&report, 0, 0);
         self.engine.record_traffic(&report);
         (views, report)
+    }
+}
+
+/// Upper bound on the payloads one tensor carries in a bucket frame (the
+/// compressor's payloads plus the trailing meta payload) — the size of the
+/// stack array of views a received tensor is parsed into, so the zero-copy
+/// fold allocates nothing per contribution.
+const MAX_WIRE_PAYLOADS: usize = 8;
+
+/// One rank's view of a received bucket frame, validated end to end by
+/// [`BucketFrame::parse`] before any of it is merged.
+///
+/// Layout — a single [`payload::encode`] stream with one CRC32 trailer:
+///
+/// ```text
+/// [U32: payload count c_t per tensor, meta included]
+/// then for each tensor t of the bucket, in plan order:
+///     [c_t − 1 compressor payloads] [F32: context meta]
+/// ```
+struct BucketFrame<'f> {
+    /// The header's per-tensor payload counts (little-endian `u32`s).
+    counts: &'f [u8],
+    /// Positioned on the next tensor's first payload.
+    reader: payload::PayloadReader<'f>,
+    /// Next tensor to yield.
+    next: usize,
+}
+
+impl<'f> BucketFrame<'f> {
+    /// Checks the CRC trailer and the whole layout against a bucket of
+    /// `tensors` tensors, so a hostile frame is rejected, as a typed
+    /// [`PayloadError`], before any of it reaches an accumulator.
+    fn parse(bytes: &'f [u8], tensors: usize) -> Result<Self, PayloadError> {
+        let malformed = PayloadError::Malformed;
+        let mut reader = payload::PayloadReader::new_checked(bytes)?;
+        let counts = match reader.next_view()? {
+            Some(PayloadView::U32Le(counts)) => counts,
+            Some(_) => return Err(malformed("bucket header is not a U32 payload".into())),
+            None => return Err(malformed("empty bucket frame".into())),
+        };
+        if counts.len() / 4 != tensors {
+            return Err(malformed(format!(
+                "frame carries {} tensors, the bucket has {tensors}",
+                counts.len() / 4
+            )));
+        }
+        let frame = BucketFrame {
+            counts,
+            reader,
+            next: 0,
+        };
+        let mut walk = frame.reader.clone();
+        for t in 0..tensors {
+            let c = frame.count(t);
+            if c == 0 || c > MAX_WIRE_PAYLOADS {
+                return Err(malformed(format!(
+                    "tensor {t} carries {c} payloads, expected 1..={MAX_WIRE_PAYLOADS}"
+                )));
+            }
+            for k in 0..c {
+                let view = walk
+                    .next_view()?
+                    .ok_or_else(|| malformed(format!("frame ends inside tensor {t}")))?;
+                if k + 1 == c && !matches!(view, PayloadView::F32Le(_)) {
+                    return Err(malformed(format!("tensor {t}'s meta payload is not F32")));
+                }
+            }
+        }
+        if walk.next_view()?.is_some() {
+            return Err(malformed("payloads after the last tensor".into()));
+        }
+        Ok(frame)
+    }
+
+    fn count(&self, t: usize) -> usize {
+        let c = &self.counts[4 * t..4 * t + 4];
+        u32::from_le_bytes([c[0], c[1], c[2], c[3]]) as usize
+    }
+
+    /// Parses the next tensor's payloads into `views` (meta last) and
+    /// returns how many there are.
+    fn next_tensor(&mut self, views: &mut [PayloadView<'f>; MAX_WIRE_PAYLOADS]) -> usize {
+        let c = self.count(self.next);
+        self.next += 1;
+        for view in &mut views[..c] {
+            *view = self
+                .reader
+                .next_view()
+                .ok()
+                .flatten()
+                .expect("structure validated by parse");
+        }
+        c
     }
 }
 

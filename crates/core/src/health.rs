@@ -172,8 +172,8 @@ pub struct AnomalyEvent {
 }
 
 /// One step's worth of health signals. Optional fields are skipped (their
-/// hysteresis state neither breaches nor clears) — the threaded runtime has
-/// no per-step overlap accounting, lossless fleets have no residual.
+/// hysteresis state neither breaches nor clears) — lossless fleets have no
+/// residual, a one-lane report has no encode-lane skew.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepObservation {
     /// L2 norm of the aggregated gradient applied this step.
@@ -190,10 +190,10 @@ pub struct StepObservation {
 }
 
 impl StepObservation {
-    /// Builds the simulated-mode observation from one step's
-    /// [`ExchangeReport`]: compression ratio from payload bytes, overlap
-    /// from the report, straggler skew from the spread of per-lane encode
-    /// seconds.
+    /// Builds the observation from one step's [`ExchangeReport`]:
+    /// compression ratio from payload bytes, overlap from the report,
+    /// straggler skew from the spread of per-lane encode seconds (`None`
+    /// for a rank's one-lane report, whose caller supplies a wire skew).
     pub fn from_report(
         report: &ExchangeReport,
         uncompressed_bytes: f64,

@@ -393,7 +393,7 @@ pub fn encode(payloads: &[Payload]) -> Vec<u8> {
 /// payload as a borrowed [`PayloadView`] without copying a single body
 /// byte. This is the single source of format truth: [`decode_checked`] is
 /// implemented on top of it by materializing every view.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PayloadReader<'a> {
     body: &'a [u8],
     pos: usize,

@@ -15,12 +15,10 @@
 
 use crate::compressor::Compressor;
 use crate::memory::Memory;
-use crate::threaded::{run_threaded, worker_loop, ThreadedResult};
+use crate::threaded::{plan_and_options, run_threaded, worker_loop, ThreadedResult};
 use crate::trainer::{start_metrics_server, ExecBackend, TrainConfig};
 use grace_comm::net::{self, Endpoint, NetConfig, SocketCluster};
-use grace_comm::{
-    ClusterError, ClusterIntrospect, ClusterOptions, Collective, FaultStats, FaultyCollective,
-};
+use grace_comm::{ClusterError, ClusterIntrospect, Collective, FaultStats, FaultyCollective};
 use grace_nn::data::Task;
 use grace_nn::network::Network;
 use grace_nn::optim::Optimizer;
@@ -128,21 +126,6 @@ fn export_rank_trace<C: grace_comm::ClusterIntrospect>(
     }));
     if let Err(e) = grace_telemetry::export::export_run_to(&dir, &format!("rank{rank}")) {
         eprintln!("[grace-core] cannot export trace to {dir}: {e}");
-    }
-}
-
-fn plan_and_options(cfg: &TrainConfig) -> (Arc<grace_comm::FaultPlan>, ClusterOptions) {
-    match &cfg.fault {
-        Some(fc) => (
-            Arc::new(fc.plan.clone()),
-            ClusterOptions {
-                timeout: fc.timeout,
-            },
-        ),
-        None => (
-            Arc::new(grace_comm::FaultPlan::empty()),
-            ClusterOptions::default(),
-        ),
     }
 }
 
@@ -255,19 +238,7 @@ pub fn run_socket_local(
     });
     drop(metrics_server);
     grace_telemetry::trace::flush_thread();
-    let survivors = results.iter().filter(|r| r.is_ok()).count();
-    let first_ok = results
-        .into_iter()
-        .flatten()
-        .next()
-        .unwrap_or_else(|| panic!("no worker survived the fault plan"));
-    ThreadedResult {
-        final_params: first_ok.final_params,
-        final_quality: first_ok.final_quality,
-        bytes_sent: first_ok.bytes_sent,
-        survivors,
-        faults: stats.summary(),
-    }
+    ThreadedResult::from_ranks(results, &stats)
 }
 
 /// Dispatches on [`TrainConfig::backend`]: threads over the deposit board,

@@ -15,32 +15,30 @@
 //!
 //! * a **dropped** worker returns [`ClusterError::Dropped`] from its loop and
 //!   the survivors rescale every aggregate by the live-worker count;
-//! * a **corrupted** payload is caught by the CRC32 trailer
-//!   ([`crate::payload::decode_checked`]); since the sender's bytes are
-//!   corrupted *before* deposit, every receiver rejects the identical stream
-//!   and drops that contribution in lockstep — replicas stay bit-identical;
+//! * a **corrupted** bucket frame is caught by its CRC32 trailer; since the
+//!   sender's bytes are corrupted *before* deposit, every receiver rejects
+//!   the identical stream and drops that rank's whole bucket in lockstep,
+//!   rescaling over the survivors — replicas stay bit-identical;
 //! * a worker stuck waiting on a dead peer times out with a structured
 //!   [`ClusterError::Timeout`] rather than deadlocking.
 
 use crate::bucket::PlanBuilder;
-use crate::compressor::{CommStrategy, Compressor, Context};
-use crate::exchange::{self, EncodedTensor, QualitySensors, WorkerLane};
+use crate::compressor::Compressor;
+use crate::exchange::{GradientExchange, WorkerLane};
 use crate::health::{HealthMonitor, StepObservation};
 use crate::memory::Memory;
-use crate::payload::{self, Payload};
 use crate::trainer::{
-    gradient_l2, start_metrics_server, steps_per_epoch, wire_bytes, worker_batch_indices,
-    TrainConfig,
+    gradient_l2, start_metrics_server, steps_per_epoch, worker_batch_indices, TrainConfig,
 };
 use grace_comm::{
-    ClusterError, ClusterIntrospect, ClusterOptions, Collective, FaultStats, FaultSummary,
-    FaultyCollective, GatherFrames, ThreadedCluster,
+    ClusterError, ClusterIntrospect, ClusterOptions, Collective, FaultPlan, FaultStats,
+    FaultSummary, FaultyCollective, ThreadedCluster,
 };
 use grace_nn::data::Task;
 use grace_nn::network::Network;
 use grace_nn::optim::Optimizer;
-use grace_telemetry::{recorder, StageTimer, Track};
-use grace_tensor::{Shape, Tensor};
+use grace_telemetry::{recorder, Track};
+use grace_tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -92,18 +90,7 @@ where
     recorder::configure(&cfg.run_tag("threaded"), None);
     let n = cfg.n_workers;
     let stats = FaultStats::new(n);
-    let (plan, options) = match &cfg.fault {
-        Some(fc) => (
-            Arc::new(fc.plan.clone()),
-            ClusterOptions {
-                timeout: fc.timeout,
-            },
-        ),
-        None => (
-            Arc::new(grace_comm::FaultPlan::empty()),
-            ClusterOptions::default(),
-        ),
-    };
+    let (plan, options) = plan_and_options(cfg);
     // One endpoint for the whole cluster, alive until every worker joins.
     let metrics_server = start_metrics_server(cfg);
     let results = ThreadedCluster::run_with(n, options, |handle| {
@@ -120,18 +107,47 @@ where
     // Worker-thread trace buffers drained on thread exit (Drop); pick up
     // anything recorded on the caller's thread too.
     grace_telemetry::trace::flush_thread();
-    let survivors = results.iter().filter(|r| r.is_ok()).count();
-    let first_ok = results
-        .into_iter()
-        .flatten()
-        .next()
-        .unwrap_or_else(|| panic!("no worker survived the fault plan"));
-    ThreadedResult {
-        final_params: first_ok.final_params,
-        final_quality: first_ok.final_quality,
-        bytes_sent: first_ok.bytes_sent,
-        survivors,
-        faults: stats.summary(),
+    ThreadedResult::from_ranks(results, &stats)
+}
+
+impl ThreadedResult {
+    /// The lowest surviving rank's view of a run, plus the survivor count
+    /// and fault counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no rank survived.
+    pub(crate) fn from_ranks(
+        results: Vec<Result<WorkerOut, ClusterError>>,
+        stats: &FaultStats,
+    ) -> Self {
+        let survivors = results.iter().filter(|r| r.is_ok()).count();
+        let first_ok = results
+            .into_iter()
+            .flatten()
+            .next()
+            .unwrap_or_else(|| panic!("no worker survived the fault plan"));
+        ThreadedResult {
+            final_params: first_ok.final_params,
+            final_quality: first_ok.final_quality,
+            bytes_sent: first_ok.bytes_sent,
+            survivors,
+            faults: stats.summary(),
+        }
+    }
+}
+
+/// The run's fault plan and collective options (a timeout only when a
+/// fault plan is configured).
+pub(crate) fn plan_and_options(cfg: &TrainConfig) -> (Arc<FaultPlan>, ClusterOptions) {
+    match &cfg.fault {
+        Some(fc) => (
+            Arc::new(fc.plan.clone()),
+            ClusterOptions {
+                timeout: fc.timeout,
+            },
+        ),
+        None => (Arc::new(FaultPlan::empty()), ClusterOptions::default()),
     }
 }
 
@@ -171,24 +187,15 @@ where
     let rank = comm.rank();
     let spe = steps_per_epoch(task.train_len(), n, cfg.batch_per_worker);
     let (mut net, mut opt, mut compressor, mut memory) = make_worker(rank);
-    let strategy = compressor.strategy();
-    // This worker's compression lane from the shared exchange engine: the
-    // same compensate → compress → own-decode → memory-update sequence the
-    // simulator's engine runs, so both modes stay bit-identical.
-    let mut lane = WorkerLane::new(rank, compressor.as_mut(), Some(memory.as_mut()));
-    // Per-bucket compression-quality sensors (sampled approximation error,
-    // effective ratio), recorded at fusion-bucket boundaries. Replicas are
-    // bit-identical, so concurrent ranks publish the same gauge values.
-    let quality = QualitySensors::resolve();
-    // Per-rank gather-side merge under the configured aggregation plan
-    // (serial fold — each rank merges its own gathered contributions).
-    let mut merger = crate::AggMerger::new(cfg.agg_plan);
-    // Pooled gather buffer: every step's frames land as sub-ranges of one
-    // backing allocation the decode path borrows from.
-    let mut frames = GatherFrames::new();
+    // This rank's side of the shared exchange: the same lane staging the
+    // simulator's engine runs (compensate → compress → own-decode → memory
+    // update, in plan order), one collective per fusion bucket, and the
+    // gather-side merge under the configured aggregation plan.
+    let lane = WorkerLane::new(rank, compressor.as_mut(), Some(memory.as_mut()));
+    let mut engine = GradientExchange::for_rank(lane, cfg.agg_plan);
     // Fusion plan over the streaming (reverse-layer) order. Boundaries
     // depend only on dense byte sizes, so every worker derives the same
-    // plan and the per-tensor collective order stays rank-consistent.
+    // plan and the per-bucket collective order stays rank-consistent.
     let plan = {
         let mut builder = PlanBuilder::new(cfg.fusion_bytes);
         for (name, len) in net.streaming_grad_sizes() {
@@ -237,7 +244,6 @@ where
     } else {
         Vec::new()
     };
-    let mut bytes_prev = 0u64;
     let uncompressed = 4.0 * net.param_count() as f64;
     let mut global_step = 0u64;
     for epoch in 0..cfg.epochs {
@@ -261,55 +267,13 @@ where
             // Pipelined encode: compress each gradient the moment backprop
             // emits it — on this multi-threaded cluster a worker's encode
             // genuinely overlaps its peers' still-running backward passes.
-            // The per-lane encode order (stream = plan order) matches the
-            // simulator's session exactly, keeping RNG-bearing compressors
-            // bit-identical across modes.
-            let mut stream: Vec<(String, EncodedTensor, Shape)> =
-                Vec::with_capacity(plan.n_tensors());
-            let mut window: Option<StageTimer> = None;
-            let mut bucket_elems = 0usize;
-            let mut bucket_wire = 0usize;
+            // Then one collective per bucket, identical across ranks, and
+            // the optimizer gets forward-ordered gradients.
+            let mut session = engine.begin_step(&plan);
             let _ = net.forward_backward_streaming(&x, &y, &mut |name, grad| {
-                let idx = stream.len();
-                debug_assert!(
-                    plan.matches(idx, name, grad.len()),
-                    "gradient stream diverged from the fusion plan at '{name}'"
-                );
-                if window.is_none() {
-                    window = Some(StageTimer::start());
-                }
-                let encoded = lane.encode(name, grad);
-                bucket_elems += grad.len();
-                bucket_wire += wire_bytes(&encoded.payloads, &encoded.ctx);
-                let b = plan.bucket_of(idx);
-                if idx + 1 == plan.bucket_range(b).end {
-                    if let Some(w) = window.take() {
-                        w.finish_with("bucket", Track::Bucket, "bucket", b as u64);
-                    }
-                    if let Some(e) = lane.take_quality_error() {
-                        quality.record_error(b, e);
-                    }
-                    quality.record_ratio(b, bucket_elems, bucket_wire);
-                    bucket_elems = 0;
-                    bucket_wire = 0;
-                }
-                stream.push((name.to_string(), encoded, grad.shape().clone()));
+                session.submit(0, name, grad);
             });
-            // Drain the collectives in stream order (identical across
-            // ranks), then hand the optimizer forward-ordered gradients.
-            let mut aggregated = Vec::with_capacity(stream.len());
-            for (name, encoded, shape) in stream {
-                let agg = exchange_tensor(
-                    comm,
-                    strategy,
-                    &mut lane,
-                    &mut merger,
-                    &mut frames,
-                    encoded,
-                    shape,
-                )?;
-                aggregated.push((name, agg));
-            }
+            let (mut aggregated, report) = session.finish_over(comm)?;
             aggregated.sort_by_key(|(name, _)| forward_index[name.as_str()]);
             if per_rank_steps || rank == 0 {
                 grace_telemetry::trace::instant_arg(
@@ -323,11 +287,6 @@ where
                 // rank is its own process.
                 recorder::observe_step(global_step);
             }
-            if grace_telemetry::enabled(grace_telemetry::Level::Metrics) {
-                if let Some(norm) = lane.residual_norm() {
-                    quality.record_residual(norm);
-                }
-            }
             if let Some(mon) = monitor.as_mut() {
                 let board = comm.inner();
                 board.barrier_waits_into(&mut waits_now);
@@ -339,9 +298,6 @@ where
                 for (gauge, &delta) in wait_gauges.iter().zip(&wait_deltas) {
                     gauge.set(delta as f64);
                 }
-                let bytes_now = board.sent_bytes();
-                let step_bytes = bytes_now.saturating_sub(bytes_prev);
-                bytes_prev = bytes_now;
                 // Straggler skew: prefer the transport's aligned wire-
                 // arrival stamps (the spread of when the hub saw each
                 // rank's latest request, all on one clock) over the
@@ -361,18 +317,13 @@ where
                 } else {
                     HealthMonitor::barrier_skew_seconds(&wait_deltas)
                 };
-                let obs = StepObservation {
-                    grad_norm: gradient_l2(&aggregated),
-                    residual_norm: lane.residual_norm(),
-                    compression_ratio: if step_bytes > 0 {
-                        Some(uncompressed / step_bytes as f64)
-                    } else {
-                        None
-                    },
-                    // No per-step overlap accounting in this mode.
-                    overlap_ratio: None,
-                    straggler_skew_seconds: Some(skew),
-                };
+                let mut obs = StepObservation::from_report(
+                    &report,
+                    uncompressed,
+                    gradient_l2(&aggregated),
+                    engine.residual_norm(),
+                );
+                obs.straggler_skew_seconds = Some(skew);
                 mon.observe_step(global_step, &obs);
             }
             net.apply_gradients(&aggregated, opt.as_mut());
@@ -385,187 +336,6 @@ where
         final_quality: quality,
         bytes_sent: comm.inner().sent_bytes(),
     })
-}
-
-/// Performs the collective exchange for one encoded tensor and returns the
-/// aggregated gradient, degrading gracefully on dropped workers and
-/// corrupted payloads. Decompression and `Agg` go through
-/// [`crate::exchange`]'s shared helpers.
-fn exchange_tensor<C: ClusterIntrospect>(
-    comm: &FaultyCollective<C>,
-    strategy: CommStrategy,
-    lane: &mut WorkerLane<'_>,
-    merger: &mut crate::AggMerger,
-    frames: &mut GatherFrames,
-    encoded: EncodedTensor,
-    shape: grace_tensor::Shape,
-) -> Result<Tensor, ClusterError> {
-    match strategy {
-        CommStrategy::Allreduce => {
-            // Average each F32 payload across the live workers while
-            // compressed; the contributor count the collective reports is
-            // the degraded-membership denominator.
-            let mut mean = Vec::with_capacity(encoded.payloads.len());
-            for p in encoded.payloads {
-                let reduction = comm.try_allreduce_f32(p.as_f32().to_vec())?;
-                mean.push(exchange::average_sum(reduction.sum, reduction.contributors));
-            }
-            Ok(lane.compressor_mut().decompress(&mean, &encoded.ctx))
-        }
-        CommStrategy::Allgather | CommStrategy::Broadcast => {
-            // Ship payloads + context scalars; merge every worker's
-            // contribution out of the pooled gathered frames. Contributions
-            // that fail the CRC32 check are dropped by every receiver
-            // identically (the sender corrupted the stream before deposit),
-            // and `Agg`'s mean over the surviving parts is the rescaled
-            // estimate.
-            let mut wire = encoded.payloads;
-            wire.push(Payload::F32(encoded.ctx.meta.clone()));
-            let op = comm.inner().ops_started();
-            let rank = comm.rank();
-            comm.try_allgather_frames(payload::encode(&wire), frames)?;
-            let plan = crate::effective_plan(merger.plan(), lane.compressor_mut());
-            if plan == crate::AggregationPlan::HomomorphicSum {
-                // Fold each frame's payloads straight into the accumulator
-                // through zero-copy views — no per-rank payload list is
-                // ever materialized.
-                return fold_gathered_views(comm, lane, merger, frames, shape, rank, op);
-            }
-            // Decoded plans: materialize per-rank payload lists, then run
-            // the method's decode + `Agg` under the requested plan.
-            let mut parts: Vec<EncodedTensor> = Vec::with_capacity(frames.n_slots());
-            let mut last_error = None;
-            for bytes in (0..frames.n_slots()).filter_map(|r| frames.slot(r)) {
-                match payload::decode_checked(bytes) {
-                    Ok(mut list) => {
-                        let meta = list
-                            .pop()
-                            .expect("wire format includes meta")
-                            .as_f32()
-                            .to_vec();
-                        parts.push(EncodedTensor {
-                            payloads: list,
-                            ctx: Context::with_meta(shape.clone(), meta),
-                        });
-                    }
-                    Err(e) => {
-                        comm.stats().record_detected(rank);
-                        last_error = Some(e);
-                    }
-                }
-            }
-            if parts.is_empty() {
-                return Err(ClusterError::Corrupted {
-                    rank,
-                    op,
-                    detail: last_error
-                        .map(|e| e.to_string())
-                        .unwrap_or_else(|| "no live contributions".to_string()),
-                });
-            }
-            // Merge under the configured plan; the CRC-surviving parts are
-            // folded in rank order, so every plan rescales identically.
-            Ok(merger.merge_gathered(lane.compressor_mut(), &parts).0)
-        }
-    }
-}
-
-/// Upper bound on payloads per wire frame (compressor payloads plus the
-/// trailing meta payload) — sized for a stack array of views so the
-/// zero-copy fold allocates nothing per frame.
-const MAX_WIRE_PAYLOADS: usize = 8;
-
-/// Folds every CRC-surviving gathered frame straight into the accumulator
-/// through zero-copy [`crate::PayloadView`]s. Bit-identical to the owned
-/// [`crate::AggMerger::fold_homomorphic_into`]: same rank order, same
-/// per-element fold expressions, same `1/n` scale.
-fn fold_gathered_views<C: ClusterIntrospect>(
-    comm: &FaultyCollective<C>,
-    lane: &mut WorkerLane<'_>,
-    merger: &mut crate::AggMerger,
-    frames: &GatherFrames,
-    shape: grace_tensor::Shape,
-    rank: usize,
-    op: u64,
-) -> Result<Tensor, ClusterError> {
-    let mut out = Tensor::zeros(shape.clone());
-    let mut meta = Vec::new();
-    let mut contributors = 0usize;
-    let mut last_error = None;
-    for bytes in (0..frames.n_slots()).filter_map(|r| frames.slot(r)) {
-        match fold_one_frame(
-            lane,
-            merger,
-            bytes,
-            &shape,
-            &mut out,
-            &mut meta,
-            contributors == 0,
-        ) {
-            Ok(()) => contributors += 1,
-            Err(e) => {
-                comm.stats().record_detected(rank);
-                last_error = Some(e);
-            }
-        }
-    }
-    if contributors == 0 {
-        return Err(ClusterError::Corrupted {
-            rank,
-            op,
-            detail: last_error
-                .map(|e: crate::PayloadError| e.to_string())
-                .unwrap_or_else(|| "no live contributions".to_string()),
-        });
-    }
-    merger.finish_fold(lane.compressor_mut(), &mut out, contributors);
-    Ok(out)
-}
-
-/// Parses one gathered frame into stack-held views and folds it. Errors
-/// (CRC mismatch, structural damage) surface before any element is folded,
-/// so a rejected frame never contaminates the accumulator.
-fn fold_one_frame(
-    lane: &mut WorkerLane<'_>,
-    merger: &mut crate::AggMerger,
-    bytes: &[u8],
-    shape: &Shape,
-    out: &mut Tensor,
-    meta: &mut Vec<f32>,
-    first: bool,
-) -> Result<(), crate::PayloadError> {
-    let mut reader = crate::PayloadReader::new_checked(bytes)?;
-    let mut views = [crate::PayloadView::Bytes(&[]); MAX_WIRE_PAYLOADS];
-    let mut n = 0usize;
-    while let Some(view) = reader.next_view()? {
-        assert!(
-            n < MAX_WIRE_PAYLOADS,
-            "frame carries more than {MAX_WIRE_PAYLOADS} payloads"
-        );
-        views[n] = view;
-        n += 1;
-    }
-    assert!(n > 0, "wire format includes meta");
-    // The trailing payload is the sender's context scalars; hand the pooled
-    // scratch to the context and take it back after the fold.
-    views[n - 1].read_f32s_into(meta);
-    let ctx = Context::with_meta(shape.clone(), std::mem::take(meta));
-    merger.fold_part_into(
-        lane.compressor_mut(),
-        crate::PayloadList::Views(&views[..n - 1]),
-        &ctx,
-        out,
-        first,
-    );
-    *meta = ctx.meta;
-    Ok(())
-}
-
-/// Sanity helper: the wire size the threaded mode ships for one tensor,
-/// which must match the simulator's [`wire_bytes`] accounting up to the
-/// self-describing codec header.
-pub fn threaded_wire_bytes(payloads: &[Payload], ctx: &Context) -> usize {
-    wire_bytes(payloads, ctx)
 }
 
 #[cfg(test)]

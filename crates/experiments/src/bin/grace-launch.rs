@@ -31,7 +31,9 @@
 //!
 //! `--drop RANK@OP` seeds a mid-run drop fault (a post-mortem drill): the
 //! victim's flight recorder trips and leaves a bundle, the survivors
-//! degrade and finish, and threaded verification is skipped.
+//! degrade and finish, and threaded verification is skipped. `OP` counts
+//! the rank's collectives, one per fusion bucket per step; this workload's
+//! gradients fuse into a single bucket, so `OP` is the step index.
 //! `--dump-on-exit` makes every child write its bundle at exit even
 //! without a trigger; `grace-analyze postmortem` reads the result.
 
@@ -165,7 +167,8 @@ struct Args {
     verify: bool,
     trace_dir: Option<PathBuf>,
     /// Seeded mid-run drop fault (`--drop RANK@OP`): that rank leaves the
-    /// cluster at collective `OP`, tripping its flight recorder.
+    /// cluster at collective `OP` (one per fusion bucket per step),
+    /// tripping its flight recorder.
     drop: Option<(usize, u64)>,
     /// Ask every child to write a post-mortem bundle at exit even without
     /// a trigger (`GRACE_DUMP_ON_EXIT=1`).

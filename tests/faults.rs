@@ -103,10 +103,12 @@ fn corrupted_payload_is_detected_by_every_receiver_and_excluded() {
 
 #[test]
 fn straggler_only_plan_is_bit_transparent() {
+    // One fusion bucket per step, so one collective per step: each delay
+    // lands on a different step (ops 0..8 cover the run).
     let plan = FaultPlan::empty()
-        .with_straggler(0, 2, Duration::from_millis(2))
-        .with_straggler(2, 7, Duration::from_millis(1))
-        .with_straggler(1, 11, Duration::from_millis(1));
+        .with_straggler(0, 0, Duration::from_millis(2))
+        .with_straggler(2, 1, Duration::from_millis(1))
+        .with_straggler(1, 2, Duration::from_millis(1));
     let fault = FaultConfig {
         plan,
         timeout: Some(Duration::from_secs(10)),
@@ -391,12 +393,12 @@ fn same_fault_seed_yields_identical_counters_across_runs() {
         corrupt: 0.12,
         max_delay: Duration::from_micros(500),
     };
-    // 2 epochs × 4 steps × 4 tensors = 32 collective ops per worker.
-    let plan = FaultPlan::seeded(0xC0FFEE, N, 32, &rates);
+    // 2 epochs × 4 steps × 1 fusion bucket = 8 collective ops per worker.
+    let plan = FaultPlan::seeded(0xC0FFEE, N, 8, &rates);
     assert!(!plan.is_empty(), "rates this high must schedule faults");
     assert_eq!(
         plan,
-        FaultPlan::seeded(0xC0FFEE, N, 32, &rates),
+        FaultPlan::seeded(0xC0FFEE, N, 8, &rates),
         "plan must be a pure function of its seed"
     );
 

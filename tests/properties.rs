@@ -2,8 +2,8 @@
 //! arbitrary gradients, payloads and configurations.
 
 use grace::compressors::registry;
+use grace::core::exchange::{mean_payloads, EncodedTensor};
 use grace::core::payload::{decode, encode, total_bytes, Payload};
-use grace::core::trainer::mean_payloads;
 use grace::core::{Compressor, Context};
 use grace::tensor::pack::{pack_bits, unpack_bits};
 use grace::tensor::select::{desparsify, sparsify, top_k_indices};
@@ -108,8 +108,8 @@ proptest! {
         let b: Vec<f32> = a.iter().map(|v| v * scale).collect();
         let ctx = Context::shape_only(Shape::vector(a.len()));
         let per_worker = vec![
-            (vec![Payload::F32(a.clone())], ctx.clone()),
-            (vec![Payload::F32(b.clone())], ctx),
+            EncodedTensor { payloads: vec![Payload::F32(a.clone())], ctx: ctx.clone() },
+            EncodedTensor { payloads: vec![Payload::F32(b.clone())], ctx },
         ];
         let mean = mean_payloads(&per_worker);
         let m = mean[0].as_f32();

@@ -237,10 +237,11 @@ fn scrambled_submission_timing_is_bit_transparent_on_sockets() {
 
     let spec = registry::find("topk").unwrap();
     let (clean_crc, clean_q) = run_backend(&spec, &config(ExecBackend::SocketTcp));
+    // One collective per step (one fusion bucket): delays on steps 0–2.
     let plan = FaultPlan::empty()
-        .with_straggler(0, 2, Duration::from_millis(3))
-        .with_straggler(2, 5, Duration::from_millis(2))
-        .with_straggler(1, 9, Duration::from_millis(1));
+        .with_straggler(0, 0, Duration::from_millis(3))
+        .with_straggler(2, 1, Duration::from_millis(2))
+        .with_straggler(1, 2, Duration::from_millis(1));
     let mut cfg = config(ExecBackend::SocketTcp);
     cfg.fault = Some(FaultConfig {
         plan,
