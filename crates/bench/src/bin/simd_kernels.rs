@@ -7,7 +7,8 @@
 //! * `reference` — a frozen copy of the scalar implementation the kernel
 //!   replaced (per-element `partition_point` code-book search, the generic
 //!   bit-cursor pack/unpack loop, the float `max` fold, the comparator
-//!   top-k) — byte-for-byte what the codecs ran before the SIMD module;
+//!   top-k, the bit-at-a-time CRC32) — byte-for-byte what the codecs and
+//!   the framer ran before the SIMD module;
 //! * `new` — the runtime-dispatched `grace_tensor::simd` kernel (or the
 //!   pooled selection built on it).
 //!
@@ -129,6 +130,20 @@ mod reference {
         let mut out: Vec<u32> = order[..k].to_vec();
         out.sort_unstable();
         out
+    }
+
+    /// The bit-at-a-time CRC32 the payload trailer and frame checksum ran
+    /// before the table and carry-less bodies.
+    pub fn crc32(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
     }
 
     /// The plain indexed gather loop.
@@ -304,6 +319,28 @@ fn main() {
         assert_eq!(out, expect, "gather diverged");
         rows.push(Row {
             name: "gather",
+            reference_ms,
+            new_ms,
+        });
+    }
+
+    // CRC32 over a 1 MiB frame body (the gradient's raw bytes): the
+    // checksum every payload trailer and wire frame pays per byte.
+    {
+        let bytes = pack::f32s_to_bytes(xs);
+        let reference_ms = time_ms(|| {
+            std::hint::black_box(reference::crc32(std::hint::black_box(&bytes)));
+        });
+        let new_ms = time_ms(|| {
+            std::hint::black_box(pack::crc32(std::hint::black_box(&bytes)));
+        });
+        assert_eq!(
+            pack::crc32(&bytes),
+            reference::crc32(&bytes),
+            "crc32 diverged"
+        );
+        rows.push(Row {
+            name: "crc32",
             reference_ms,
             new_ms,
         });

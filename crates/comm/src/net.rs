@@ -37,6 +37,15 @@
 //! receiver identically via the payload codec's own trailer, exactly as on
 //! the threaded path.
 //!
+//! Each hop checksums a frame once, on the dispatched kernel
+//! ([`grace_tensor::simd::crc32_continue`]). A sender encodes the body
+//! straight into its reused retransmission buffer and seals it there. The
+//! hub builds one response image per round (every requester gets the same
+//! body) and writes that image to each rank. A reader checks the kind byte
+//! and the body as one CRC continuation, without moving the body, and grows
+//! the body buffer as bytes arrive, at most 1 MiB per read, so a corrupted
+//! length prefix costs an error, not an allocation of the size it claims.
+//!
 //! # Trace context and clock sync
 //!
 //! Every collective *request* body leads with a fixed 20-byte [`TraceCtx`]
@@ -77,7 +86,7 @@ use crate::error::ClusterError;
 use crate::traffic::TrafficCounter;
 use grace_telemetry::metrics::{self, Counter, HistogramHandle};
 use grace_telemetry::{since_epoch_ns, trace, Track};
-use grace_tensor::pack::crc32;
+use grace_tensor::simd::crc32_continue;
 use parking_lot::Mutex;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -134,6 +143,13 @@ const ERR_RENDEZVOUS: u8 = 3;
 /// Upper bound on a single frame; a corrupted length prefix must fail fast,
 /// not allocate garbage.
 const MAX_FRAME_BYTES: u32 = 1 << 30;
+
+/// Bytes a frame adds around its body: length prefix, kind byte, CRC.
+const FRAME_OVERHEAD: usize = 9;
+
+/// Largest single read into a frame body, and so the most memory a frame
+/// can claim ahead of the bytes that have arrived.
+const READ_CHUNK: usize = 1 << 20;
 
 /// How many corrupted frames / retransmit requests a single logical read
 /// tolerates before giving up on the stream.
@@ -431,54 +447,95 @@ impl FramedStream {
         Ok(())
     }
 
-    /// Writes one frame. Non-NACK frames are kept for retransmission until
-    /// the next write.
-    pub fn write_frame(&mut self, kind: u8, body: &[u8]) -> io::Result<()> {
-        let len = 1 + body.len();
-        assert!(len <= MAX_FRAME_BYTES as usize, "frame too large: {len}");
-        let mut wire = Vec::with_capacity(4 + len + 4);
-        wire.extend_from_slice(&(len as u32).to_le_bytes());
-        wire.push(kind);
-        wire.extend_from_slice(body);
-        let crc = crc32(&wire[4..]);
-        wire.extend_from_slice(&crc.to_le_bytes());
-        if kind != KIND_NACK {
-            self.last_sent.clear();
-            self.last_sent.extend_from_slice(&wire);
-        }
-        if std::mem::take(&mut self.corrupt_next) {
-            // Flip a bit inside the checksummed region so the receiver's
-            // CRC (not a length mismatch) catches it.
-            let idx = 4 + (wire.len() - 8) / 2;
-            wire[idx] ^= 0x10;
+    /// Sends a sealed frame image. The corruption hook flips one bit inside
+    /// the checksummed region for this transmission only, so the receiver's
+    /// CRC (not a length mismatch) catches it and the retransmission copy
+    /// stays clean.
+    fn send_image(&mut self, wire: &mut [u8]) -> io::Result<()> {
+        let flip = std::mem::take(&mut self.corrupt_next).then_some(4 + (wire.len() - 8) / 2);
+        if let Some(i) = flip {
+            wire[i] ^= 0x10;
         }
         trace::instant_arg(
             "net.frame.send",
             self.track,
             Some(("bytes", wire.len() as u64)),
         );
-        self.send_raw(&wire)
+        let sent = self.send_raw(wire);
+        if let Some(i) = flip {
+            wire[i] ^= 0x10;
+        }
+        sent
+    }
+
+    /// Writes one frame. Non-NACK frames are kept for retransmission until
+    /// the next write.
+    pub fn write_frame(&mut self, kind: u8, body: &[u8]) -> io::Result<()> {
+        self.write_frame_with(kind, |wire| wire.extend_from_slice(body))
+    }
+
+    /// [`FramedStream::write_frame`] with a body that `fill` appends
+    /// straight into the wire image, so no separate body buffer is built.
+    /// Non-NACK frames are encoded in the reused retransmission buffer.
+    fn write_frame_with(&mut self, kind: u8, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        let keep = kind != KIND_NACK;
+        let mut wire = if keep {
+            std::mem::take(&mut self.last_sent)
+        } else {
+            Vec::with_capacity(FRAME_OVERHEAD)
+        };
+        begin_frame(&mut wire, kind);
+        fill(&mut wire);
+        seal_frame(&mut wire);
+        let sent = self.send_image(&mut wire);
+        if keep {
+            self.last_sent = wire;
+        }
+        sent
+    }
+
+    /// Writes a frame image sealed once for several streams (the hub's
+    /// per-round response), keeping a clean copy for retransmission.
+    fn write_image(&mut self, image: &[u8]) -> io::Result<()> {
+        let mut wire = std::mem::take(&mut self.last_sent);
+        wire.clear();
+        wire.extend_from_slice(image);
+        let sent = self.send_image(&mut wire);
+        self.last_sent = wire;
+        sent
     }
 
     /// Reads the next application frame, transparently handling the
     /// frame-retry protocol: a CRC reject answers `NACK` and re-reads; an
     /// incoming `NACK` retransmits our last frame and re-reads.
+    ///
+    /// The body buffer grows as bytes arrive, at most 1 MiB per read, so a
+    /// corrupted length prefix costs a typed `InvalidData` or EOF error, not
+    /// an allocation of the size it claims.
     pub fn read_frame(&mut self) -> io::Result<(u8, Vec<u8>)> {
+        let mut body = Vec::new();
         for _ in 0..RETRY_LIMIT {
-            let mut len_buf = [0u8; 4];
-            self.stream.read_exact(&mut len_buf)?;
-            let len = u32::from_le_bytes(len_buf);
+            let mut head = [0u8; 5];
+            self.stream.read_exact(&mut head)?;
+            let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
             if len == 0 || len > MAX_FRAME_BYTES {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("frame length {len} out of range"),
                 ));
             }
-            let mut buf = vec![0u8; len as usize];
-            self.stream.read_exact(&mut buf)?;
-            let mut crc_buf = [0u8; 4];
-            self.stream.read_exact(&mut crc_buf)?;
-            if crc32(&buf) != u32::from_le_bytes(crc_buf) {
+            let kind = head[4];
+            // The body and its CRC trailer arrive in one read loop.
+            read_growing(&mut self.stream, &mut body, len as usize - 1 + 4)?;
+            let crc_at = body.len() - 4;
+            let sent_crc = u32::from_le_bytes([
+                body[crc_at],
+                body[crc_at + 1],
+                body[crc_at + 2],
+                body[crc_at + 3],
+            ]);
+            body.truncate(crc_at);
+            if crc32_continue(crc32_continue(0, &[kind]), &body) != sent_crc {
                 self.stats.nacks_sent += 1;
                 self.c_retries.add(1);
                 self.c_nacks.add(1);
@@ -486,8 +543,6 @@ impl FramedStream {
                 self.write_frame(KIND_NACK, &[])?;
                 continue;
             }
-            let kind = buf[0];
-            buf.drain(..1);
             if kind == KIND_NACK {
                 if self.last_sent.is_empty() {
                     return Err(io::Error::new(
@@ -496,24 +551,59 @@ impl FramedStream {
                     ));
                 }
                 self.stats.resends += 1;
-                let copy = self.last_sent.clone();
-                self.c_resend_bytes.add(copy.len() as u64);
-                trace::instant_arg("net.resend", self.track, Some(("bytes", copy.len() as u64)));
-                self.send_raw(&copy)?;
+                let wire = std::mem::take(&mut self.last_sent);
+                self.c_resend_bytes.add(wire.len() as u64);
+                trace::instant_arg("net.resend", self.track, Some(("bytes", wire.len() as u64)));
+                let sent = self.send_raw(&wire);
+                self.last_sent = wire;
+                sent?;
                 continue;
             }
             trace::instant_arg(
                 "net.frame.recv",
                 self.track,
-                Some(("bytes", buf.len() as u64)),
+                Some(("bytes", body.len() as u64)),
             );
-            return Ok((kind, buf));
+            return Ok((kind, body));
         }
         Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame retry limit exhausted: persistently corrupted stream",
         ))
     }
+}
+
+/// Starts a frame image in `wire` (cleared first): a length placeholder and
+/// the kind byte. The body is appended after them, then [`seal_frame`]
+/// completes the image.
+fn begin_frame(wire: &mut Vec<u8>, kind: u8) {
+    wire.clear();
+    wire.extend_from_slice(&[0; 4]);
+    wire.push(kind);
+}
+
+/// Completes an image begun by [`begin_frame`]: patches the length prefix
+/// and appends the CRC of `kind ‖ body` — the one checksum pass of this hop.
+fn seal_frame(wire: &mut Vec<u8>) {
+    let len = wire.len() - 4;
+    assert!(len <= MAX_FRAME_BYTES as usize, "frame too large: {len}");
+    wire[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc32_continue(0, &wire[4..]);
+    wire.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Reads exactly `n` bytes into `buf` (cleared first). Each read asks for at
+/// most [`READ_CHUNK`] bytes and the buffer grows only as far as that read,
+/// so memory follows the bytes that actually arrive, not the length a
+/// prefix claims.
+fn read_growing(stream: &mut impl Read, buf: &mut Vec<u8>, n: usize) -> io::Result<()> {
+    buf.clear();
+    while buf.len() < n {
+        let start = buf.len();
+        buf.resize(start + (n - start).min(READ_CHUNK), 0);
+        stream.read_exact(&mut buf[start..])?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -607,6 +697,25 @@ impl TraceCtx {
     }
 }
 
+/// A collective response whose round header has been read: the
+/// kind-specific part of `body` starts at `at`.
+struct Response {
+    kind: u8,
+    body: Vec<u8>,
+    at: usize,
+}
+
+impl Response {
+    /// A reader positioned after the round header, so `Reader::at` stays an
+    /// offset into the whole body.
+    fn reader(&self) -> Reader<'_> {
+        Reader {
+            buf: &self.body,
+            at: self.at,
+        }
+    }
+}
+
 /// Consumes a [`TraceCtx`] from the front of a request body.
 fn read_ctx(r: &mut Reader) -> io::Result<TraceCtx> {
     let b = r.take(TraceCtx::WIRE_BYTES)?;
@@ -615,40 +724,48 @@ fn read_ctx(r: &mut Reader) -> io::Result<TraceCtx> {
     ))
 }
 
-/// Builds the header every collective response starts with: the live
+/// Appends the header every collective response starts with: the live
 /// count, the hub's send timestamp, and each rank's request-arrival stamp
 /// for this round (0 for ranks that sent nothing) — everything a client
 /// needs for an NTP-style clock sample plus fleet-wide arrival skew.
-fn round_header(live: u32, arrivals: &[u64]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16 + arrivals.len() * 8);
-    put_u32(&mut body, live);
-    put_u64(&mut body, since_epoch_ns(Instant::now()));
-    put_u32(&mut body, arrivals.len() as u32);
+fn put_round_header(body: &mut Vec<u8>, live: u32, arrivals: &[u64]) {
+    put_u32(body, live);
+    put_u64(body, since_epoch_ns(Instant::now()));
+    put_u32(body, arrivals.len() as u32);
     for &a in arrivals {
-        put_u64(&mut body, a);
+        put_u64(body, a);
     }
-    body
 }
 
-fn f32s_to_bytes(data: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Appends `data` as little-endian f32s.
+fn put_f32s(body: &mut Vec<u8>, data: &[f32]) {
+    let start = body.len();
+    body.resize(start + data.len() * 4, 0);
+    for (out, v) in body[start..].chunks_exact_mut(4).zip(data) {
+        out.copy_from_slice(&v.to_le_bytes());
     }
-    out
 }
+
+const F32_LENGTH_ERROR: &str = "f32 buffer length not a multiple of 4";
 
 fn bytes_to_f32s(bytes: &[u8]) -> io::Result<Vec<f32>> {
     if !bytes.len().is_multiple_of(4) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "f32 buffer length not a multiple of 4",
-        ));
+        return Err(io::Error::new(io::ErrorKind::InvalidData, F32_LENGTH_ERROR));
     }
     Ok(bytes
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
         .collect())
+}
+
+/// `acc[i] += add[i]` over little-endian f32 buffers of equal length: the
+/// hub's rank-order all-reduce step, summed in place in the response image.
+fn add_f32s_le(acc: &mut [u8], add: &[u8]) {
+    for (a, b) in acc.chunks_exact_mut(4).zip(add.chunks_exact(4)) {
+        let sum = f32::from_le_bytes([a[0], a[1], a[2], a[3]])
+            + f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        a.copy_from_slice(&sum.to_le_bytes());
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -843,6 +960,8 @@ impl HubServer {
         let mut alive = vec![true; world];
         let mut hub_op = 0u64;
         let mut arrivals = vec![0u64; world];
+        // The per-round response image, reused across rounds.
+        let mut image = Vec::new();
         loop {
             let mut reqs: Vec<Option<(u8, Vec<u8>)>> = (0..world).map(|_| None).collect();
             arrivals.fill(0);
@@ -875,7 +994,8 @@ impl HubServer {
                 }
                 return Ok(());
             }
-            let round = self.answer_round(streams, &mut alive, &reqs, hub_op, &arrivals);
+            let round =
+                self.answer_round(streams, &mut alive, &reqs, hub_op, &arrivals, &mut image);
             hub_op += 1;
             match round {
                 Ok(()) => {}
@@ -901,6 +1021,7 @@ impl HubServer {
         reqs: &[Option<(u8, Vec<u8>)>],
         hub_op: u64,
         arrivals: &[u64],
+        image: &mut Vec<u8>,
     ) -> Result<(), String> {
         let world = self.world;
         let timer = trace::StageTimer::start();
@@ -934,72 +1055,64 @@ impl HubServer {
                 step = step.max(ctx.step);
             }
         }
+        // Every requester gets the same response, so its wire image is
+        // built, length-prefixed and checksummed once, then written to each.
         let live = alive.iter().filter(|a| **a).count() as u32;
-        let mut responses: Vec<Option<Vec<u8>>> = (0..world).map(|_| None).collect();
         match kind {
             KIND_ALLREDUCE => {
-                let mut acc: Option<Vec<f32>> = None;
+                begin_frame(image, KIND_R_ALLREDUCE);
+                put_round_header(image, live, arrivals);
+                let contributors_at = image.len();
+                put_u32(image, 0);
+                let sum_at = image.len();
                 let mut contributors = 0u32;
-                for req in reqs.iter() {
-                    let Some((_, body)) = req else { continue };
+                // The first contribution seeds the sum; later ones add into
+                // it in rank order, straight from their request bytes.
+                for (_, body) in reqs.iter().flatten() {
                     let mut r = Reader::new(body);
                     let _ = read_ctx(&mut r).map_err(|e| e.to_string())?;
-                    let data = bytes_to_f32s(r.rest()).map_err(|e| e.to_string())?;
-                    contributors += 1;
-                    match &mut acc {
-                        None => acc = Some(data),
-                        Some(acc) => {
-                            if acc.len() != data.len() {
-                                return Err(format!(
-                                    "allreduce length mismatch: {} vs {}",
-                                    acc.len(),
-                                    data.len()
-                                ));
-                            }
-                            for (a, b) in acc.iter_mut().zip(&data) {
-                                *a += b;
-                            }
+                    let data = r.rest();
+                    if !data.len().is_multiple_of(4) {
+                        return Err(F32_LENGTH_ERROR.to_string());
+                    }
+                    if contributors == 0 {
+                        image.extend_from_slice(data);
+                    } else {
+                        let acc = &mut image[sum_at..];
+                        if acc.len() != data.len() {
+                            return Err(format!(
+                                "allreduce length mismatch: {} vs {}",
+                                acc.len() / 4,
+                                data.len() / 4
+                            ));
                         }
+                        add_f32s_le(acc, data);
                     }
+                    contributors += 1;
                 }
-                let sum = acc.expect("at least one contributor");
-                let mut body = round_header(live, arrivals);
-                body.reserve(4 + sum.len() * 4);
-                put_u32(&mut body, contributors);
-                body.extend_from_slice(&f32s_to_bytes(&sum));
-                for (rank, req) in reqs.iter().enumerate() {
-                    if req.is_some() {
-                        responses[rank] = Some(body.clone());
-                    }
-                }
-                self.write_responses(streams, alive, KIND_R_ALLREDUCE, &mut responses);
+                image[contributors_at..sum_at].copy_from_slice(&contributors.to_le_bytes());
             }
             KIND_ALLGATHER => {
-                let mut body = round_header(live, arrivals);
-                put_u32(&mut body, world as u32);
+                begin_frame(image, KIND_R_ALLGATHER);
+                put_round_header(image, live, arrivals);
+                put_u32(image, world as u32);
                 for req in reqs.iter() {
                     match req {
                         Some((_, b)) => {
                             let mut r = Reader::new(b);
                             let _ = read_ctx(&mut r).map_err(|e| e.to_string())?;
                             let payload = r.rest();
-                            body.push(1);
-                            put_u32(&mut body, payload.len() as u32);
-                            body.extend_from_slice(payload);
+                            image.push(1);
+                            put_u32(image, payload.len() as u32);
+                            image.extend_from_slice(payload);
                         }
-                        None => body.push(0),
+                        None => image.push(0),
                     }
                 }
-                for (rank, req) in reqs.iter().enumerate() {
-                    if req.is_some() {
-                        responses[rank] = Some(body.clone());
-                    }
-                }
-                self.write_responses(streams, alive, KIND_R_ALLGATHER, &mut responses);
             }
             KIND_BROADCAST => {
                 let mut root: Option<usize> = None;
-                let mut payload: Option<Vec<u8>> = None;
+                let mut payload: Option<&[u8]> = None;
                 for (rank, req) in reqs.iter().enumerate() {
                     let Some((_, b)) = req else { continue };
                     let mut r = Reader::new(b);
@@ -1013,46 +1126,36 @@ impl HubServer {
                         Some(_) => {}
                     }
                     if rank == this_root {
-                        payload = Some(r.rest().to_vec());
+                        payload = Some(r.rest());
                     }
                 }
                 let root = root.expect("at least one request");
                 match payload {
                     Some(data) => {
-                        let mut body = round_header(live, arrivals);
-                        body.reserve(data.len());
-                        body.extend_from_slice(&data);
-                        for (rank, req) in reqs.iter().enumerate() {
-                            if req.is_some() {
-                                responses[rank] = Some(body.clone());
-                            }
-                        }
-                        self.write_responses(streams, alive, KIND_R_BROADCAST, &mut responses);
+                        begin_frame(image, KIND_R_BROADCAST);
+                        put_round_header(image, live, arrivals);
+                        image.extend_from_slice(data);
                     }
                     None => {
                         // Same contract as the deposit board: a departed
                         // root is a structured per-op error, not a hang.
-                        let mut body = vec![ERR_ROOT_DROPPED];
-                        put_u32(&mut body, root as u32);
-                        for (rank, req) in reqs.iter().enumerate() {
-                            if req.is_some() {
-                                responses[rank] = Some(body.clone());
-                            }
-                        }
-                        self.write_responses(streams, alive, KIND_ERROR, &mut responses);
+                        begin_frame(image, KIND_ERROR);
+                        image.push(ERR_ROOT_DROPPED);
+                        put_u32(image, root as u32);
                     }
                 }
             }
             KIND_BARRIER => {
-                let body = round_header(live, arrivals);
-                for (rank, req) in reqs.iter().enumerate() {
-                    if req.is_some() {
-                        responses[rank] = Some(body.clone());
-                    }
-                }
-                self.write_responses(streams, alive, KIND_R_BARRIER, &mut responses);
+                begin_frame(image, KIND_R_BARRIER);
+                put_round_header(image, live, arrivals);
             }
             other => return Err(format!("unexpected request kind {other}")),
+        }
+        seal_frame(image);
+        for (rank, req) in reqs.iter().enumerate() {
+            if req.is_some() && streams[rank].write_image(image).is_err() {
+                alive[rank] = false;
+            }
         }
         let name = match kind {
             KIND_ALLREDUCE => "hub.allreduce",
@@ -1062,22 +1165,6 @@ impl HubServer {
         };
         timer.finish_with2(name, Track::Hub, ("step", step), ("op", hub_op));
         Ok(())
-    }
-
-    fn write_responses(
-        &self,
-        streams: &mut [FramedStream],
-        alive: &mut [bool],
-        kind: u8,
-        responses: &mut [Option<Vec<u8>>],
-    ) {
-        for (rank, resp) in responses.iter().enumerate() {
-            if let Some(body) = resp {
-                if streams[rank].write_frame(kind, body).is_err() {
-                    alive[rank] = false;
-                }
-            }
-        }
     }
 }
 
@@ -1314,16 +1401,26 @@ impl SocketCluster {
     }
 
     /// One request/response round trip; the blocked time is this rank's
-    /// barrier wait. The response's round header (live count, hub send
-    /// time, arrival stamps) is absorbed here — callers see only the
-    /// kind-specific remainder.
-    fn roundtrip(&self, op: u64, kind: u8, body: &[u8]) -> Result<(u8, Vec<u8>), ClusterError> {
+    /// barrier wait. `fill` appends the request body (after its
+    /// [`TraceCtx`]) straight into the wire image. The response's round
+    /// header (live count, hub send time, arrival stamps) is absorbed here —
+    /// callers read only the kind-specific remainder.
+    fn roundtrip(
+        &self,
+        op: u64,
+        kind: u8,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<Response, ClusterError> {
         let step = self.step.load(Ordering::Relaxed);
+        let ctx = self.ctx(op).to_bytes();
         let timer = trace::StageTimer::start();
         let mut stream = self.stream.lock();
         let t0 = since_epoch_ns(Instant::now());
         let sent = stream
-            .write_frame(kind, body)
+            .write_frame_with(kind, |wire| {
+                wire.extend_from_slice(&ctx);
+                fill(wire);
+            })
             .map_err(|e| transport(self.rank, op, format!("send: {e}")));
         let out = sent.and_then(|()| {
             let wait = Instant::now();
@@ -1336,8 +1433,8 @@ impl SocketCluster {
             match result {
                 Ok((KIND_ERROR, body)) => Err(decode_error(self.rank, op, &body)),
                 Ok((kind, body)) => {
-                    let body = self.absorb_round_header(op, body, t0, t3)?;
-                    Ok((kind, body))
+                    let at = self.absorb_round_header(op, &body, t0, t3)?;
+                    Ok(Response { kind, body, at })
                 }
                 Err(e) if is_timeout(&e) => Err(ClusterError::Timeout {
                     rank: self.rank,
@@ -1356,71 +1453,69 @@ impl SocketCluster {
         out
     }
 
-    /// Ships one all-gather request and returns `(op, response body)` with
-    /// the round header absorbed — the shared front half of
-    /// [`Collective::try_allgather_bytes`] and the zero-copy
-    /// [`Collective::try_allgather_frames`].
-    fn allgather_roundtrip(&self, data: Vec<u8>) -> Result<(u64, Vec<u8>), ClusterError> {
+    /// Ships one all-gather request and returns `(op, response)` — the
+    /// shared front half of [`Collective::try_allgather_bytes`] and the
+    /// zero-copy [`Collective::try_allgather_frames`].
+    fn allgather_roundtrip(&self, data: Vec<u8>) -> Result<(u64, Response), ClusterError> {
         let op = self.enter()?;
         self.traffic.record(self.rank, data.len() as u64);
-        let mut body = Vec::with_capacity(TraceCtx::WIRE_BYTES + data.len());
-        body.extend_from_slice(&self.ctx(op).to_bytes());
-        body.extend_from_slice(&data);
-        let (kind, resp) = self.roundtrip(op, KIND_ALLGATHER, &body)?;
-        if kind != KIND_R_ALLGATHER {
-            return Err(transport(
-                self.rank,
-                op,
-                format!("bad response kind {kind}"),
-            ));
-        }
+        let resp = self.roundtrip(op, KIND_ALLGATHER, |wire| wire.extend_from_slice(&data))?;
+        self.expect_kind(op, &resp, KIND_R_ALLGATHER)?;
         Ok((op, resp))
     }
 
-    /// Strips the round header off a collective response: updates the live
-    /// count, remembers the per-rank arrival stamps, and folds one clock
-    /// sample from (local send, hub arrival, hub send, local receive).
+    fn expect_kind(&self, op: u64, resp: &Response, want: u8) -> Result<(), ClusterError> {
+        if resp.kind != want {
+            return Err(transport(
+                self.rank,
+                op,
+                format!("bad response kind {}", resp.kind),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Reads the round header off a collective response and returns its
+    /// length: updates the live count, remembers the per-rank arrival
+    /// stamps, and folds one clock sample from (local send, hub arrival,
+    /// hub send, local receive).
     fn absorb_round_header(
         &self,
         op: u64,
-        mut body: Vec<u8>,
+        body: &[u8],
         t0: u64,
         t3: u64,
-    ) -> Result<Vec<u8>, ClusterError> {
-        let consumed = {
-            let mut r = Reader::new(&body);
-            let live = r
-                .u32()
-                .map_err(|e| transport(self.rank, op, e.to_string()))?;
-            let h_send = r
-                .u64()
-                .map_err(|e| transport(self.rank, op, e.to_string()))?;
-            let n = r
-                .u32()
-                .map_err(|e| transport(self.rank, op, e.to_string()))? as usize;
-            let mut arrivals = self.arrivals.lock();
-            arrivals.clear();
-            for _ in 0..n {
-                arrivals.push(
-                    r.u64()
-                        .map_err(|e| transport(self.rank, op, e.to_string()))?,
-                );
+    ) -> Result<usize, ClusterError> {
+        let mut r = Reader::new(body);
+        let live = r
+            .u32()
+            .map_err(|e| transport(self.rank, op, e.to_string()))?;
+        let h_send = r
+            .u64()
+            .map_err(|e| transport(self.rank, op, e.to_string()))?;
+        let n = r
+            .u32()
+            .map_err(|e| transport(self.rank, op, e.to_string()))? as usize;
+        let mut arrivals = self.arrivals.lock();
+        arrivals.clear();
+        for _ in 0..n {
+            arrivals.push(
+                r.u64()
+                    .map_err(|e| transport(self.rank, op, e.to_string()))?,
+            );
+        }
+        if let Some(&h1) = arrivals.get(self.rank) {
+            if h1 != 0 && h_send >= h1 {
+                self.clock.lock().fold(ClockSample {
+                    t0,
+                    h1,
+                    h2: h_send,
+                    t3,
+                });
             }
-            if let Some(&h1) = arrivals.get(self.rank) {
-                if h1 != 0 && h_send >= h1 {
-                    self.clock.lock().fold(ClockSample {
-                        t0,
-                        h1,
-                        h2: h_send,
-                        t3,
-                    });
-                }
-            }
-            self.update_live(live);
-            r.at
-        };
-        body.drain(..consumed);
-        Ok(body)
+        }
+        self.update_live(live);
+        Ok(r.at)
     }
 
     fn enter(&self) -> Result<u64, ClusterError> {
@@ -1496,18 +1591,9 @@ impl Collective for SocketCluster {
             self.rank,
             ring_allreduce_wire_bytes(self.live_workers(), data.len()),
         );
-        let mut body = Vec::with_capacity(TraceCtx::WIRE_BYTES + data.len() * 4);
-        body.extend_from_slice(&self.ctx(op).to_bytes());
-        body.extend_from_slice(&f32s_to_bytes(&data));
-        let (kind, resp) = self.roundtrip(op, KIND_ALLREDUCE, &body)?;
-        if kind != KIND_R_ALLREDUCE {
-            return Err(transport(
-                self.rank,
-                op,
-                format!("bad response kind {kind}"),
-            ));
-        }
-        let mut r = Reader::new(&resp);
+        let resp = self.roundtrip(op, KIND_ALLREDUCE, |wire| put_f32s(wire, &data))?;
+        self.expect_kind(op, &resp, KIND_R_ALLREDUCE)?;
+        let mut r = resp.reader();
         let contributors =
             r.u32()
                 .map_err(|e| transport(self.rank, op, e.to_string()))? as usize;
@@ -1517,7 +1603,7 @@ impl Collective for SocketCluster {
 
     fn try_allgather_bytes(&self, data: Vec<u8>) -> Result<Vec<Option<Vec<u8>>>, ClusterError> {
         let (op, resp) = self.allgather_roundtrip(data)?;
-        let mut r = Reader::new(&resp);
+        let mut r = resp.reader();
         let world = r
             .u32()
             .map_err(|e| transport(self.rank, op, e.to_string()))? as usize;
@@ -1554,7 +1640,7 @@ impl Collective for SocketCluster {
         let (op, resp) = self.allgather_roundtrip(data)?;
         frames.clear();
         {
-            let mut r = Reader::new(&resp);
+            let mut r = resp.reader();
             let world =
                 r.u32()
                     .map_err(|e| transport(self.rank, op, e.to_string()))? as usize;
@@ -1576,7 +1662,7 @@ impl Collective for SocketCluster {
                 }
             }
         }
-        frames.adopt_body(resp);
+        frames.adopt_body(resp.body);
         Ok(())
     }
 
@@ -1586,35 +1672,24 @@ impl Collective for SocketCluster {
         if self.rank == root {
             self.traffic.record(self.rank, data.len() as u64);
         }
-        let mut body = Vec::with_capacity(TraceCtx::WIRE_BYTES + 4 + data.len());
-        body.extend_from_slice(&self.ctx(op).to_bytes());
-        put_u32(&mut body, root as u32);
-        if self.rank == root {
-            body.extend_from_slice(&data);
-        }
-        let (kind, resp) = self.roundtrip(op, KIND_BROADCAST, &body)?;
-        if kind != KIND_R_BROADCAST {
-            return Err(transport(
-                self.rank,
-                op,
-                format!("bad response kind {kind}"),
-            ));
-        }
-        Ok(resp)
+        let is_root = self.rank == root;
+        let resp = self.roundtrip(op, KIND_BROADCAST, |wire| {
+            put_u32(wire, root as u32);
+            if is_root {
+                wire.extend_from_slice(&data);
+            }
+        })?;
+        self.expect_kind(op, &resp, KIND_R_BROADCAST)?;
+        // The caller owns the payload; shift it over the round header.
+        let Response { mut body, at, .. } = resp;
+        body.drain(..at);
+        Ok(body)
     }
 
     fn try_barrier(&self) -> Result<(), ClusterError> {
         let op = self.enter()?;
-        let body = self.ctx(op).to_bytes();
-        let (kind, _resp) = self.roundtrip(op, KIND_BARRIER, &body)?;
-        if kind != KIND_R_BARRIER {
-            return Err(transport(
-                self.rank,
-                op,
-                format!("bad response kind {kind}"),
-            ));
-        }
-        Ok(())
+        let resp = self.roundtrip(op, KIND_BARRIER, |_| {})?;
+        self.expect_kind(op, &resp, KIND_R_BARRIER)
     }
 
     fn allreduce_f32(&self, data: Vec<f32>) -> Vec<f32> {

@@ -338,17 +338,10 @@ pub fn bytes_to_u32s(bytes: &[u8]) -> Vec<u32> {
 /// Used by the payload codec to detect wire corruption: a flipped bit in a
 /// framed payload stream must surface as an explicit decode error, never as
 /// silently divergent replicas. Matches the common `crc32`/zlib checksum, so
-/// values can be cross-checked with external tools.
+/// values can be cross-checked with external tools. Runs on the dispatched
+/// kernel [`crate::simd::crc32_continue`].
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
+    crate::simd::crc32_continue(0, bytes)
 }
 
 #[cfg(test)]

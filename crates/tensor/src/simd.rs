@@ -388,10 +388,102 @@ pub fn gather_f32_at(lvl: Level, src: &[f32], indices: &[u32], out: &mut [f32]) 
         avx2: x86::gather_f32_avx2(src, indices, out))
 }
 
+// ---------------------------------------------------------------------------
+// CRC32 (the payload trailer and frame checksum)
+// ---------------------------------------------------------------------------
+
+/// Extends a CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over
+/// more bytes: given `prev = crc32(a)`, returns `crc32(a ‖ bytes)`, and
+/// `crc32_continue(0, bytes)` is the one-shot checksum
+/// ([`crate::pack::crc32`]).
+///
+/// The scalar body is a slicing-by-8 table walk. The vector levels fold
+/// 64 bytes per iteration with carry-less multiplies (PCLMULQDQ) when the
+/// CPU reports `pclmulqdq` and `sse4.1`, and use the table body otherwise.
+/// A CRC is exact integer arithmetic over GF(2), so every body returns the
+/// same value on every input.
+pub fn crc32_continue(prev: u32, bytes: &[u8]) -> u32 {
+    crc32_continue_at(level(), prev, bytes)
+}
+
+/// [`crc32_continue`] with an explicit dispatch level.
+pub fn crc32_continue_at(lvl: Level, prev: u32, bytes: &[u8]) -> u32 {
+    dispatch!(lvl,
+        scalar: scalar::crc32(prev, bytes),
+        sse2: x86::crc32_sse2(prev, bytes),
+        avx2: x86::crc32_sse2(prev, bytes))
+}
+
+/// Whether the carry-less-multiply CRC body can run: it needs `pclmulqdq`
+/// for the folds and `sse4.1` for the final lane extract, neither of which
+/// the `Sse2`/`Avx2` levels imply.
+#[cfg(target_arch = "x86_64")]
+fn has_clmul() -> bool {
+    static CLMUL: OnceLock<bool> = OnceLock::new();
+    *CLMUL.get_or_init(|| {
+        std::arch::is_x86_feature_detected!("pclmulqdq")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+    })
+}
+
 /// Portable scalar bodies — the reference semantics every vector path must
 /// reproduce bit-for-bit.
 mod scalar {
     const ABS_MASK: u32 = 0x7FFF_FFFF;
+    const CRC_POLY: u32 = 0xEDB8_8320;
+
+    /// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte table, and
+    /// `CRC_TABLES[k][b]` is the register contribution of byte `b` followed
+    /// by `k` zero bytes, so eight table lookups retire eight input bytes.
+    static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+    const fn crc_tables() -> [[u32; 256]; 8] {
+        let mut t = [[0u32; 256]; 8];
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                c = (c >> 1) ^ (CRC_POLY & (c & 1).wrapping_neg());
+                bit += 1;
+            }
+            t[0][i] = c;
+            i += 1;
+        }
+        let mut k = 1;
+        while k < 8 {
+            let mut i = 0;
+            while i < 256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+                i += 1;
+            }
+            k += 1;
+        }
+        t
+    }
+
+    pub fn crc32(prev: u32, bytes: &[u8]) -> u32 {
+        let t = &CRC_TABLES;
+        let mut crc = !prev;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in chunks.by_ref() {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
 
     pub fn abs_max_bits(xs: &[f32]) -> u32 {
         let mut m = 0u32;
@@ -511,6 +603,124 @@ mod x86 {
     #[target_feature(enable = "sse2")]
     pub fn gather_f32_sse2(src: &[f32], indices: &[u32], out: &mut [f32]) {
         scalar::gather_f32(src, indices, out);
+    }
+
+    /// The CRC body of both vector levels: carry-less folding where the CPU
+    /// has it, the scalar table walk where it does not.
+    #[target_feature(enable = "sse2")]
+    pub fn crc32_sse2(prev: u32, bytes: &[u8]) -> u32 {
+        if super::has_clmul() {
+            // SAFETY: `has_clmul` detected `pclmulqdq` and `sse4.1`, the
+            // features `crc32_clmul` is compiled for.
+            unsafe { crc32_clmul(prev, bytes) }
+        } else {
+            scalar::crc32(prev, bytes)
+        }
+    }
+
+    // Folding constants for the reflected IEEE polynomial (Gopal et al.,
+    // "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ",
+    // Intel, 2009): x^(k) mod P(x), bit-reflected and shifted left by one.
+    /// Fold across 64 bytes: x^(4·128+32), x^(4·128−32).
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    /// Fold across 16 bytes: x^(128+32), x^(128−32).
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    /// Reduce 96 → 64 bits: x^64.
+    const K5: i64 = 0x1_63CD_6124;
+    /// Barrett reduction: the polynomial P(x) and μ = ⌊x^64 / P(x)⌋.
+    const P_X: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Below this many bytes the 64-byte fold has nothing to amortize its
+    /// setup and reductions over; the table walk is faster.
+    const CLMUL_MIN_BYTES: usize = 128;
+
+    /// `a·k_lo ⊕ a·k_hi ⊕ b`: folds the 128-bit accumulator `a` forward
+    /// over the distance `keys` encodes and adds the next block `b`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold128(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(a, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(a, keys);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn crc32_clmul(prev: u32, bytes: &[u8]) -> u32 {
+        if bytes.len() < CLMUL_MIN_BYTES {
+            return scalar::crc32(prev, bytes);
+        }
+        let load = |at: usize| -> __m128i {
+            let block = &bytes[at..at + 16];
+            // SAFETY: `block` is 16 readable bytes; loadu allows any
+            // alignment.
+            unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+        };
+        // Four independent 128-bit accumulators keep four carry-less
+        // multiplies in flight per iteration.
+        let mut x3 = _mm_xor_si128(load(0), _mm_cvtsi32_si128(!prev as i32));
+        let mut x2 = load(16);
+        let mut x1 = load(32);
+        let mut x0 = load(48);
+        let mut at = 64;
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        while bytes.len() - at >= 64 {
+            x3 = fold128(x3, load(at), k1k2);
+            x2 = fold128(x2, load(at + 16), k1k2);
+            x1 = fold128(x1, load(at + 32), k1k2);
+            x0 = fold128(x0, load(at + 48), k1k2);
+            at += 64;
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold128(x3, x2, k3k4);
+        x = fold128(x, x1, k3k4);
+        x = fold128(x, x0, k3k4);
+        while bytes.len() - at >= 16 {
+            x = fold128(x, load(at), k3k4);
+            at += 16;
+        }
+        // 128 → 96 → 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x10>(x, k3k4),
+            _mm_srli_si128::<8>(x),
+        );
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        // Barrett reduction 64 → 32 bits (bit-reflected form: the result
+        // is the upper half of the low 64-bit lane).
+        let pu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pu);
+        let crc = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+        // The fewer-than-16-byte tail continues on the table body.
+        scalar::crc32(!crc, &bytes[at..])
+    }
+
+    #[cfg(test)]
+    #[test]
+    fn folding_constants_derive_from_the_polynomial() {
+        // x^n mod P(x) over GF(2), with P the unreflected IEEE polynomial.
+        fn x_pow_mod(n: u32) -> u32 {
+            let mut r: u64 = 1;
+            for _ in 0..n {
+                r <<= 1;
+                if r & (1 << 32) != 0 {
+                    r ^= 0x1_04C1_1DB7;
+                }
+            }
+            r as u32
+        }
+        let k = |n: u32| i64::from(x_pow_mod(n).reverse_bits()) << 1;
+        assert_eq!(k(4 * 128 + 32), K1);
+        assert_eq!(k(4 * 128 - 32), K2);
+        assert_eq!(k(128 + 32), K3);
+        assert_eq!(k(128 - 32), K4);
+        assert_eq!(k(64), K5);
+        assert_eq!(P_X, (i64::from(0xEDB8_8320u32) << 1) | 1);
     }
 
     /// SSE2 lacks `pmaxud`; abs bit patterns have the top bit clear, so the

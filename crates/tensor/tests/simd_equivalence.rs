@@ -13,14 +13,17 @@
 //!   elements);
 //! * adversarial float bit patterns — NaN, ±∞, ±0, denormals, extreme
 //!   magnitudes — injected into otherwise-random IEEE-754 words;
-//! * all 32 bit-pack widths against the generic bit-cursor reference.
+//! * all 32 bit-pack widths against the generic bit-cursor reference;
+//! * the CRC32 bodies (slicing-by-8 table, carry-less folding) against the
+//!   bitwise reference, over every length to 300 bytes, larger lengths up
+//!   to 1 MiB, unaligned start offsets and every continuation split.
 //!
 //! Inputs are raw `u32` words reinterpreted with `from_bits`, so the float
 //! space is sampled uniformly over *encodings* (heavy on denormals and NaN
 //! payloads), not just over values. All comparisons are on bit patterns.
 
 use grace_tensor::pack::{
-    pack_bits, pack_bits_generic, packed_len, unpack_bits_generic_into, unpack_bits_into,
+    crc32, pack_bits, pack_bits_generic, packed_len, unpack_bits_generic_into, unpack_bits_into,
 };
 use grace_tensor::select::{top_k_indices, top_k_indices_with};
 use grace_tensor::simd::{self, available_levels, Level};
@@ -78,6 +81,31 @@ fn floats_with_tricky(words: &[u32], salt: usize) -> Vec<f32> {
 /// Bit patterns of a float slice (the only comparison this suite makes).
 fn bits_of(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The bitwise CRC32 (reflected IEEE polynomial) the dispatched kernel
+/// replaced: one conditional polynomial XOR per input bit. It is the oracle
+/// every CRC body is checked against.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc: u32 = !0;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+/// Deterministic pseudo-random bytes (an LCG's high bytes).
+fn crc_bytes(n: usize, seed: u32) -> Vec<u8> {
+    let mut s = seed.wrapping_mul(0x9E37_79B9) | 1;
+    (0..n)
+        .map(|_| {
+            s = s.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (s >> 24) as u8
+        })
+        .collect()
 }
 
 /// A sorted 128-entry non-negative finite code-book built from random words
@@ -293,6 +321,81 @@ proptest! {
             let got = top_k_indices_with(xs, k, &mut scratch);
             prop_assert_eq!(&got, &expect, "top_k len {} k {}", len, k);
             prop_assert_eq!(&got, &top_k_indices(xs, k), "pooled vs fresh len {}", len);
+        }
+    }
+
+    #[test]
+    fn crc32_bit_identical_to_bitwise_reference_on_random_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..4096),
+        offset in 0usize..16,
+    ) {
+        let data = &bytes[offset.min(bytes.len())..];
+        let want = crc32_bitwise(data);
+        for lvl in available_levels() {
+            prop_assert_eq!(simd::crc32_continue_at(lvl, 0, data), want, "{} len {}", lvl, data.len());
+        }
+        prop_assert_eq!(crc32(data), want);
+    }
+}
+
+/// Every length from 0 to 300 bytes (below, at and past the carry-less
+/// body's 128-byte entry point and its 64- and 16-byte fold steps), each
+/// at every start offset within a 16-byte vector, at every level.
+#[test]
+fn crc32_matches_bitwise_reference_on_short_unaligned_inputs() {
+    let pool = crc_bytes(300 + 16, 1);
+    for offset in 0..16 {
+        for len in 0..=300 {
+            let data = &pool[offset..offset + len];
+            let want = crc32_bitwise(data);
+            for lvl in available_levels() {
+                assert_eq!(
+                    simd::crc32_continue_at(lvl, 0, data),
+                    want,
+                    "{lvl} offset {offset} len {len}"
+                );
+            }
+        }
+    }
+}
+
+/// Bucket-sized inputs up to 1 MiB, including lengths that leave a 1..15
+/// byte tail after the 16-byte folds, at two start offsets.
+#[test]
+fn crc32_matches_bitwise_reference_on_large_inputs() {
+    let pool = crc_bytes((1 << 20) + 8, 2);
+    for len in [1023usize, 4096, 4103, 65_536 + 13, 150_001, 1 << 20] {
+        for offset in [0usize, 7] {
+            let data = &pool[offset..offset + len];
+            let want = crc32_bitwise(data);
+            for lvl in available_levels() {
+                assert_eq!(
+                    simd::crc32_continue_at(lvl, 0, data),
+                    want,
+                    "{lvl} offset {offset} len {len}"
+                );
+            }
+        }
+    }
+}
+
+/// `crc32_continue` split at every point of a 1 KiB buffer equals the
+/// one-shot CRC, whichever level computes the head and the tail.
+#[test]
+fn crc32_continue_split_anywhere_matches_one_shot() {
+    let data = crc_bytes(1024, 3);
+    let want = crc32_bitwise(&data);
+    let levels = available_levels();
+    for split in 0..=data.len() {
+        for &head_lvl in &levels {
+            let head = simd::crc32_continue_at(head_lvl, 0, &data[..split]);
+            for &tail_lvl in &levels {
+                assert_eq!(
+                    simd::crc32_continue_at(tail_lvl, head, &data[split..]),
+                    want,
+                    "split {split} head {head_lvl} tail {tail_lvl}"
+                );
+            }
         }
     }
 }
