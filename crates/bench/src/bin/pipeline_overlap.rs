@@ -3,9 +3,9 @@
 //! `results/bench_pipeline_overlap.json`.
 //!
 //! The workload streams a multi-bucket gradient sequence through
-//! `begin_step`/`submit`/`finish` the way the trainer does — one simulated
-//! backprop interval between tensors — and compares it with the one-shot
-//! `exchange()` over the same tensors. Three observables per codec:
+//! `begin_step`/`submit`/`finish` the way the trainer does and compares it
+//! with a single-bucket (`usize::MAX` fusion threshold) session over the
+//! same tensors, reported as `one_shot_ms`. Three observables per codec:
 //!
 //! * `overlap_ratio` — the fraction of per-lane encode time spent on every
 //!   bucket except the stream's last, i.e. work that runs while backprop is
@@ -23,7 +23,7 @@
 use grace_bench::gradient_of_bytes;
 use grace_compressors::registry;
 use grace_core::exchange::StageHistograms;
-use grace_core::{GradientExchange, PlanBuilder};
+use grace_core::{BucketPlan, GradientExchange, PlanBuilder};
 use grace_telemetry::Histogram;
 use grace_tensor::Tensor;
 use std::time::Instant;
@@ -62,29 +62,15 @@ fn measure(id: &str) -> OverlapSample {
     let spec = registry::find(id).expect("compressor registered");
     let grads = worker_grads(29);
 
-    // One-shot reference: the whole stream exchanged after "backprop".
-    let (mut cs, mut ms) = registry::build_fleet(&spec, WORKERS, 3);
-    let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
-    for _ in 0..WARMUP {
-        std::hint::black_box(engine.exchange(grads.clone()));
-    }
-    let start = Instant::now();
-    for _ in 0..ITERS {
-        std::hint::black_box(engine.exchange(grads.clone()));
-    }
-    let one_shot_ms = start.elapsed().as_secs_f64() * 1e3 / ITERS as f64;
-    drop(engine);
-
-    // Pipelined: the same tensors submitted incrementally in stream order.
-    let (mut cs, mut ms) = registry::build_fleet(&spec, WORKERS, 3);
-    let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
-    let mut builder = PlanBuilder::new(FUSION_BYTES);
-    for (name, t) in &grads[0] {
-        builder.push(name, t.len());
-    }
-    let plan = builder.finish();
-    let run_round = |engine: &mut GradientExchange<'_>| {
-        let mut session = engine.begin_step(&plan);
+    let plan_at = |fusion_bytes: usize| {
+        let mut builder = PlanBuilder::new(fusion_bytes);
+        for (name, t) in &grads[0] {
+            builder.push(name, t.len());
+        }
+        builder.finish()
+    };
+    let run_round = |engine: &mut GradientExchange<'_>, plan: &BucketPlan| {
+        let mut session = engine.begin_step(plan);
         for (w, stream) in grads.iter().enumerate() {
             for (name, t) in stream {
                 session.submit(w, name, t);
@@ -92,8 +78,28 @@ fn measure(id: &str) -> OverlapSample {
         }
         session.finish()
     };
+
+    // One-shot reference: the whole stream exchanged as one bucket after
+    // "backprop".
+    let one_bucket = plan_at(usize::MAX);
+    let (mut cs, mut ms) = registry::build_fleet(&spec, WORKERS, 3);
+    let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
     for _ in 0..WARMUP {
-        std::hint::black_box(run_round(&mut engine));
+        std::hint::black_box(run_round(&mut engine, &one_bucket));
+    }
+    let start = Instant::now();
+    for _ in 0..ITERS {
+        std::hint::black_box(run_round(&mut engine, &one_bucket));
+    }
+    let one_shot_ms = start.elapsed().as_secs_f64() * 1e3 / ITERS as f64;
+    drop(engine);
+
+    // Pipelined: the same tensors submitted incrementally in stream order.
+    let plan = plan_at(FUSION_BYTES);
+    let (mut cs, mut ms) = registry::build_fleet(&spec, WORKERS, 3);
+    let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
+    for _ in 0..WARMUP {
+        std::hint::black_box(run_round(&mut engine, &plan));
     }
     engine.reset_stage_stats();
     let mut overlap_sum = 0.0;
@@ -102,7 +108,7 @@ fn measure(id: &str) -> OverlapSample {
     let mut buckets = 0;
     let start = Instant::now();
     for _ in 0..ITERS {
-        let (out, report) = run_round(&mut engine);
+        let (out, report) = run_round(&mut engine, &plan);
         overlap_sum += report.overlap_ratio();
         let hidden = report.max_hidden_encode_seconds();
         hidden_sum += hidden;

@@ -10,7 +10,7 @@
 //! * [`AggregationPlan::DecodeThenMerge`] — today's behaviour, kept as the
 //!   reference: decode every contribution, then run the method's `Agg`.
 //! * [`AggregationPlan::ShardedMerge`] — reduce-scatter-style merge: each
-//!   executor shard owns a slice of the element space and folds every
+//!   scoped-thread shard owns a slice of the element space and folds every
 //!   worker's decoded slice in rank order, then the slices concatenate
 //!   (they already live in one buffer, so "concatenate" is free).
 //! * [`AggregationPlan::HomomorphicSum`] — never materialize per-worker
@@ -392,8 +392,8 @@ impl AggMerger {
     }
 
     /// Merges gathered encoded contributions under the requested plan
-    /// (downgraded per method), in rank order — the `Allgather` merge the
-    /// real ranks and the reference tests drive directly.
+    /// (downgraded per method), in rank order — the `Allgather` merge of
+    /// the in-process engine and of every real rank alike.
     ///
     /// # Panics
     ///

@@ -10,9 +10,9 @@
 //! tensor names, element counts, and bucket boundaries — built once by a
 //! [`PlanBuilder`] from the first observed stream and reused (and verified)
 //! on every later step. Boundaries depend only on the dense byte sizes in
-//! submission order, so every worker derives the **identical** plan and the
-//! pipelined exchange stays bit-identical to the one-shot path at any
-//! executor width (the PR-2 equivalence contract).
+//! submission order, so every worker derives the **identical** plan, and
+//! the exchange trains the same bits at every fusion threshold (a
+//! `usize::MAX` threshold exchanges a whole step as one bucket).
 //!
 //! The stream arrives in **reverse layer order**: backprop finishes the
 //! deepest layers first, so emitting their gradients immediately gives the

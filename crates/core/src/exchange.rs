@@ -10,17 +10,17 @@
 //! Throughput and Compression Ratios"), so the fused bucket is a
 //! first-class type here ([`BucketReport`]) rather than a loose byte tally.
 //!
-//! # Parallel per-worker compression
+//! # One session path
 //!
-//! The per-worker stage (compensate → compress → own-decompress → memory
-//! update) is embarrassingly parallel: lane state never crosses workers, and
-//! every randomized method owns a per-worker seeded RNG. The engine runs
-//! lanes on a scoped-thread executor ([`std::thread::scope`]; no external
-//! dependencies) and collects results **rank-ordered**, so the outcome is
-//! bit-identical for any thread count — asserted by
-//! `tests/exchange_equivalence.rs`. The simulated clock always charged the
-//! *max* over workers because real workers compress concurrently; with the
-//! executor the wall clock finally agrees with the model.
+//! Every caller goes through a session ([`GradientExchange::begin_step`] or
+//! [`GradientExchange::begin_decoded_step`]). Lane state never crosses
+//! workers and every randomized method owns a per-worker seeded RNG, so
+//! each lane encodes on the thread that calls
+//! [`BucketedExchange::submit`], in plan order. The in-process merge
+//! decodes gathered contributions serially on lane 0 through
+//! [`AggMerger::merge_gathered`], the same merge a rank engine runs on its
+//! received bucket frames. The simulated clock charges the *max* over
+//! workers because real workers compress concurrently.
 //!
 //! # Telemetry
 //!
@@ -30,12 +30,13 @@
 //! engine's per-run [`StageHistograms`] (p50/p95/p99 for benches and
 //! experiment rows), and — when `GRACE_TELEMETRY=trace` — retains the same
 //! interval as a timeline span: per-lane `compress`/`decode_own` spans on
-//! `Track::Lane(rank)` (straggler skew is visible as ragged lane tracks) and
-//! whole-stage `encode`/`decompress`/`aggregate` spans on the stage tracks.
+//! `Track::Lane(rank)` (straggler skew is visible as ragged lane tracks),
+//! per-bucket `bucket` spans on the buckets track and per-tensor
+//! `decompress`/`aggregate` spans on the stage tracks.
 //! Because report timings and trace spans come from the same clock reads,
 //! they can never disagree.
 
-use crate::aggregation::{effective_plan, sharded_mean_in_place, AggMerger, AggregationPlan};
+use crate::aggregation::{effective_plan, AggMerger, AggregationPlan};
 use crate::bucket::BucketPlan;
 use crate::compressor::{CommStrategy, Compressor, Context};
 use crate::memory::Memory;
@@ -88,18 +89,17 @@ pub struct BucketReport {
 /// Structured outcome of one exchange step.
 #[derive(Debug, Clone, Default)]
 pub struct ExchangeReport {
-    /// Fused-bucket accounting (one entry per fusion bucket; the one-shot
-    /// path produces a single bucket).
+    /// Fused-bucket accounting (one entry per fusion bucket; a
+    /// `usize::MAX` fusion threshold produces a single bucket).
     pub buckets: Vec<BucketReport>,
     /// Wall-clock seconds each worker spent in compress + own-decompress
     /// (the memory-update decode), indexed by rank.
     pub compress_seconds: Vec<f64>,
     /// Wall-clock seconds spent decompressing for aggregation.
     pub decompress_seconds: f64,
-    /// CPU seconds spent decompressing for aggregation, summed over lanes.
-    /// Equals [`decompress_seconds`](Self::decompress_seconds) on the serial
-    /// path; exceeds it when `Allgather` contributions decode in parallel on
-    /// the executor threads — the ratio is the parallel-decode win.
+    /// CPU seconds spent decompressing for aggregation. Decoding runs
+    /// serially, so this equals
+    /// [`decompress_seconds`](Self::decompress_seconds).
     pub decompress_cpu_seconds: f64,
     /// Wall-clock seconds spent in `Agg` proper.
     pub aggregate_seconds: f64,
@@ -117,7 +117,7 @@ pub struct ExchangeReport {
     /// Per-rank encode seconds spent on fusion buckets sealed *before* the
     /// stream's final bucket — work the pipelined session performed while
     /// backprop was still producing gradients, i.e. hidden under compute.
-    /// All zeros for the one-shot path.
+    /// All zeros for a single-bucket stream.
     pub hidden_encode_seconds: Vec<f64>,
 }
 
@@ -144,8 +144,8 @@ impl ExchangeReport {
     }
 
     /// Fraction of encode work hidden under backprop: Σ hidden encode
-    /// seconds over Σ compress seconds across ranks. Zero for one-shot
-    /// steps and single-bucket streams (nothing seals early).
+    /// seconds over Σ compress seconds across ranks. Zero for
+    /// single-bucket streams (nothing seals early).
     pub fn overlap_ratio(&self) -> f64 {
         let total: f64 = self.compress_seconds.iter().sum();
         if total <= 0.0 {
@@ -192,16 +192,6 @@ impl ExchangeReport {
     pub fn aggregator_cpu_seconds(&self) -> f64 {
         self.decompress_cpu_seconds + self.aggregate_cpu_seconds
     }
-
-    /// Parallel-decode win: CPU decode seconds over wall decode seconds.
-    /// `1.0` when decoding ran serially (e.g. `Allreduce`, one lane).
-    pub fn decode_parallel_speedup(&self) -> f64 {
-        if self.decompress_seconds <= 0.0 {
-            1.0
-        } else {
-            (self.decompress_cpu_seconds / self.decompress_seconds).max(1.0)
-        }
-    }
 }
 
 /// Per-stage wall-clock totals accumulated over a whole run — the breakdown
@@ -212,7 +202,7 @@ pub struct StageTotals {
     pub compress_seconds: f64,
     /// Σ aggregation decompress time.
     pub decompress_seconds: f64,
-    /// Σ aggregation decompress CPU time over lanes.
+    /// Σ aggregation decompress CPU time.
     pub decompress_cpu_seconds: f64,
     /// Σ `Agg` time.
     pub aggregate_seconds: f64,
@@ -396,9 +386,8 @@ impl QualitySensors {
 /// One worker's private compression lane: its compressor, its (optional)
 /// error-feedback memory, and its codec-time accumulator.
 ///
-/// The in-process engine owns one lane per worker and runs them on the
-/// scoped-thread executor; a rank of a real cluster drives a one-lane
-/// engine ([`GradientExchange::for_rank`]).
+/// The in-process engine owns one lane per worker; a rank of a real
+/// cluster drives a one-lane engine ([`GradientExchange::for_rank`]).
 pub struct WorkerLane<'a> {
     rank: usize,
     compressor: &'a mut dyn Compressor,
@@ -872,7 +861,6 @@ impl AggAccum {
 pub struct GradientExchange<'a> {
     lanes: Vec<WorkerLane<'a>>,
     strategy: CommStrategy,
-    threads: usize,
     traffic: TrafficCounter,
     stage_hists: StageHistograms,
     metrics: EngineMetrics,
@@ -950,7 +938,6 @@ impl<'a> GradientExchange<'a> {
         GradientExchange {
             lanes,
             strategy,
-            threads: auto,
             traffic: TrafficCounter::new(n),
             stage_hists: StageHistograms::default(),
             metrics: EngineMetrics::resolve(),
@@ -961,16 +948,15 @@ impl<'a> GradientExchange<'a> {
         }
     }
 
-    /// Overrides the executor width. `1` forces the sequential path; any
-    /// width produces bit-identical results.
+    /// Overrides the shard count of [`AggregationPlan::ShardedMerge`]
+    /// folds (default: the host's parallelism, capped at the worker
+    /// count). Any count produces bit-identical results.
     ///
     /// # Panics
     ///
-    /// Panics if `threads` is zero.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one executor thread");
-        self.threads = threads;
-        self.merger.set_shards(threads);
+    /// Panics if `shards` is zero.
+    pub fn with_merge_shards(mut self, shards: usize) -> Self {
+        self.merger.set_shards(shards);
         self
     }
 
@@ -1014,11 +1000,6 @@ impl<'a> GradientExchange<'a> {
         self.strategy
     }
 
-    /// Executor width.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Worker 0's compressor display name.
     pub fn compressor_name(&self) -> String {
         self.lanes[0].compressor.name()
@@ -1060,180 +1041,19 @@ impl<'a> GradientExchange<'a> {
         self.stage_hists = StageHistograms::default();
     }
 
-    /// Runs `per_lane` over every lane with its input, on up to
-    /// `self.threads` scoped threads, returning results in rank order.
-    fn run_lanes<I, T, F>(&mut self, inputs: Vec<I>, per_lane: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(&mut WorkerLane<'a>, I) -> T + Sync,
-    {
-        assert_eq!(
-            inputs.len(),
-            self.lanes.len(),
-            "need one input per worker lane"
-        );
-        let threads = self.threads.min(self.lanes.len());
-        if threads <= 1 {
-            return self
-                .lanes
-                .iter_mut()
-                .zip(inputs)
-                .map(|(lane, input)| per_lane(lane, input))
-                .collect();
-        }
-        let chunk = self.lanes.len().div_ceil(threads);
-        let f = &per_lane;
-        std::thread::scope(|scope| {
-            let mut inputs = inputs.into_iter();
-            let handles: Vec<_> = self
-                .lanes
-                .chunks_mut(chunk)
-                .map(|group| {
-                    let group_inputs: Vec<I> = inputs.by_ref().take(group.len()).collect();
-                    scope.spawn(move || {
-                        group
-                            .iter_mut()
-                            .zip(group_inputs)
-                            .map(|(lane, input)| f(lane, input))
-                            .collect::<Vec<T>>()
-                    })
-                })
-                .collect();
-            // Joining in spawn order keeps the collection rank-ordered and
-            // therefore deterministic regardless of thread scheduling.
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("exchange lane thread panicked"))
-                .collect()
-        })
-    }
-
-    /// One full Algorithm-1 exchange: encodes every worker's named gradients
-    /// (compensate → compress → own-decode → memory update, lanes in
-    /// parallel), then aggregates per tensor under the fleet's
-    /// [`CommStrategy`]. Returns the aggregated tensors — named from worker
-    /// 0's gradients, no per-worker name cloning — plus the step report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the outer length differs from the worker count or workers
-    /// disagree on tensor counts.
-    pub fn exchange(
-        &mut self,
-        worker_grads: Vec<Vec<(String, Tensor)>>,
-    ) -> (Vec<(String, Tensor)>, ExchangeReport) {
-        let n = self.lanes.len();
-        assert_eq!(worker_grads.len(), n, "need one gradient set per worker");
-        let n_tensors = worker_grads[0].len();
-
-        struct LaneOut {
-            encoded: Vec<(String, EncodedTensor)>,
-            seconds: f64,
-            bytes: u64,
-            elements: usize,
-            /// Largest sampled approximation error this step (−1: none).
-            quality: f64,
-        }
-        let encode_timer = StageTimer::start();
-        let outs: Vec<LaneOut> = self.run_lanes(worker_grads, |lane, grads| {
-            let before = lane.codec_seconds();
-            let mut bytes = 0u64;
-            let mut elements = 0usize;
-            let mut quality = -1.0f64;
-            let mut encoded = Vec::with_capacity(grads.len());
-            for (name, grad) in grads {
-                elements += grad.len();
-                let enc = lane.encode(&name, &grad);
-                bytes += enc.wire_bytes() as u64;
-                if let Some(e) = lane.take_quality_error() {
-                    if e > quality {
-                        quality = e;
-                    }
-                }
-                encoded.push((name, enc));
-            }
-            LaneOut {
-                encoded,
-                seconds: lane.codec_seconds() - before,
-                bytes,
-                elements,
-                quality,
-            }
-        });
-
-        encode_timer.finish("encode", Track::Stage(Stage::Encode));
-
-        let compress_seconds: Vec<f64> = outs.iter().map(|o| o.seconds).collect();
-        let payload_bytes: Vec<u64> = outs.iter().map(|o| o.bytes).collect();
-        let quality_err = outs.iter().map(|o| o.quality).fold(-1.0f64, f64::max);
-        let elements = outs[0].elements;
-        for o in &outs {
-            assert_eq!(
-                o.encoded.len(),
-                n_tensors,
-                "workers produced differing tensor counts"
-            );
-        }
-
-        // Transpose lane-major → tensor-major, moving payloads (names come
-        // from worker 0).
-        let mut iters: Vec<_> = outs.into_iter().map(|o| o.encoded.into_iter()).collect();
-        let mut aggregated = Vec::with_capacity(n_tensors);
-        let mut bucket = BucketReport {
-            tensors: n_tensors,
-            elements,
-            wire_bytes: 0,
-        };
-        let mut acc = AggAccum::default();
-        for _ in 0..n_tensors {
-            let mut name = String::new();
-            let mut group: Vec<EncodedTensor> = Vec::with_capacity(n);
-            for (w, it) in iters.iter_mut().enumerate() {
-                let (tensor_name, enc) = it.next().expect("tensor count checked above");
-                if w == 0 {
-                    name = tensor_name;
-                }
-                group.push(enc);
-            }
-            let agg = self.aggregate_group(group, &mut bucket, &mut acc);
-            aggregated.push((name, agg));
-        }
-        // One-shot exchanges drain everything as a single logical bucket.
-        if quality_err >= 0.0 {
-            self.quality.record_error(0, quality_err);
-        }
-        self.quality
-            .record_ratio(0, bucket.elements, bucket.wire_bytes);
-
-        let report = acc.report(vec![bucket], compress_seconds, payload_bytes, vec![0.0; n]);
-        self.observe_step(&report, acc.decompress_ns, acc.aggregate_ns);
-        self.record_traffic(&report);
-        (aggregated, report)
-    }
-
     /// Aggregates one tensor's per-worker contributions under the fleet's
     /// [`CommStrategy`], folding wire bytes into `bucket` and stage times
     /// into `acc`.
     ///
     /// `Allreduce` means payloads while compressed and decodes once on lane
     /// 0 — natively homomorphic, so the plan never changes it (only incast
-    /// accounting applies). `Allgather`/`Broadcast` merge under the
-    /// engine's effective [`AggregationPlan`]:
-    ///
-    /// * [`AggregationPlan::DecodeThenMerge`] — decode each gathered
-    ///   contribution **on its own lane** via the executor (decompression
-    ///   is pure and instance-independent for every registered method, the
-    ///   basis of the threaded/simulated equivalence contract), then the
-    ///   method's `Agg` on lane 0. The wall/CPU split between
-    ///   `decompress_ns` and `decompress_cpu_ns` records the
-    ///   parallel-decode win.
-    /// * [`AggregationPlan::ShardedMerge`] — same parallel decode, then the
-    ///   rank-order sharded fold over the element space in place of the
-    ///   lane-0 `Agg`.
-    /// * [`AggregationPlan::HomomorphicSum`] — no decode at all: encoded
-    ///   contributions fold straight into the accumulator, so decompress
-    ///   time is zero and the whole merge lands in the `Agg` stage.
+    /// accounting applies). `Allgather`/`Broadcast` contributions merge in
+    /// rank order under the engine's effective [`AggregationPlan`] through
+    /// [`AggMerger::merge_gathered`] with lane 0's compressor — the merge a
+    /// rank engine runs on its gathered bucket frames. Decompression is
+    /// pure and instance-independent for every registered method (the basis
+    /// of the threaded/simulated equivalence contract), so decoding every
+    /// contribution on lane 0 yields each lane's own bits.
     fn aggregate_group(
         &mut self,
         group: Vec<EncodedTensor>,
@@ -1260,118 +1080,30 @@ impl<'a> GradientExchange<'a> {
                     .map(EncodedTensor::wire_bytes)
                     .max()
                     .unwrap_or(0);
-                if self.effective_aggregation() == AggregationPlan::HomomorphicSum {
-                    let t1 = StageTimer::start();
-                    let mut out = Tensor::from_vec(Vec::new());
-                    let GradientExchange { lanes, merger, .. } = self;
-                    acc.incast_bytes +=
-                        merger.fold_homomorphic_into(lanes[0].compressor, &group, &mut out);
-                    let ns = t1.finish("aggregate", Track::Stage(Stage::Aggregate));
-                    acc.aggregate_ns += ns;
-                    acc.aggregate_cpu_ns += ns;
-                    return out;
-                }
-                let plan = self.effective_aggregation();
-                acc.incast_bytes += (group.len() * group[0].ctx.shape.len() * 4) as u64;
-                let wall = StageTimer::start();
-                let parts: Vec<(Tensor, u64)> = self.run_lanes(group, |lane, enc| {
-                    let t = StageTimer::start();
-                    let out = lane.compressor.decompress(&enc.payloads, &enc.ctx);
-                    (out, t.finish("decode_peer", Track::Lane(lane.rank)))
-                });
-                acc.decompress_ns += wall.finish("decompress", Track::Stage(Stage::Decompress));
-                let mut decoded = Vec::with_capacity(parts.len());
-                for (tensor, ns) in parts {
-                    acc.decompress_cpu_ns += ns;
-                    decoded.push(tensor);
-                }
-                let t1 = StageTimer::start();
-                let (out, merge_cpu_ns) = if plan == AggregationPlan::ShardedMerge {
-                    sharded_mean_in_place(decoded, self.threads)
-                } else {
-                    (self.lanes[0].compressor.aggregate(decoded), 0)
-                };
-                let ns = t1.finish("aggregate", Track::Stage(Stage::Aggregate));
+                let GradientExchange { lanes, merger, .. } = self;
+                let t0 = StageTimer::start();
+                let (out, stats) = merger.merge_gathered(lanes[0].compressor, &group);
+                // The merge decodes first, then folds: its decode time opens
+                // the stage timeline and the rest of the call is `Agg`.
+                let ns = t0
+                    .split(
+                        "decompress",
+                        Track::Stage(Stage::Decompress),
+                        stats.decode_cpu_ns,
+                    )
+                    .finish("aggregate", Track::Stage(Stage::Aggregate));
+                acc.incast_bytes += stats.incast_bytes;
+                acc.decompress_ns += stats.decode_cpu_ns;
+                acc.decompress_cpu_ns += stats.decode_cpu_ns;
                 acc.aggregate_ns += ns;
-                // The lane-0 `Agg` runs serially (CPU == wall); the sharded
-                // fold reports per-shard CPU.
-                acc.aggregate_cpu_ns += if plan == AggregationPlan::ShardedMerge {
-                    merge_cpu_ns
-                } else {
-                    ns
-                };
+                acc.aggregate_cpu_ns += stats.merge_cpu_ns;
                 out
             }
         }
     }
 
-    /// Encodes + decodes every worker's tensors (lanes in parallel) and
-    /// returns each worker's decoded view — the gossip round, where worker
-    /// `i` later averages its neighbours' views.
-    pub fn decoded_views(
-        &mut self,
-        worker_tensors: Vec<Vec<(String, Tensor)>>,
-    ) -> (Vec<Vec<(String, Tensor)>>, ExchangeReport) {
-        let (views, report) = self.decoded_views_inner(worker_tensors);
-        self.observe_step(&report, 0, 0);
-        self.record_traffic(&report);
-        (views, report)
-    }
-
-    fn decoded_views_inner(
-        &mut self,
-        worker_tensors: Vec<Vec<(String, Tensor)>>,
-    ) -> (Vec<Vec<(String, Tensor)>>, ExchangeReport) {
-        let n = self.lanes.len();
-        assert_eq!(worker_tensors.len(), n, "need one tensor set per worker");
-        let n_tensors = worker_tensors[0].len();
-
-        type LaneOut = (Vec<(String, Tensor)>, f64, u64, usize);
-        let encode_timer = StageTimer::start();
-        let outs: Vec<LaneOut> = self.run_lanes(worker_tensors, |lane, tensors| {
-            let before = lane.codec_seconds();
-            let mut bytes = 0u64;
-            let mut elements = 0usize;
-            let mut view = Vec::with_capacity(tensors.len());
-            for (name, t) in tensors {
-                elements += t.len();
-                let (enc, decoded) = lane.encode_decode(&name, &t);
-                bytes += enc.wire_bytes() as u64;
-                view.push((name, decoded));
-            }
-            (view, lane.codec_seconds() - before, bytes, elements)
-        });
-        encode_timer.finish("encode", Track::Stage(Stage::Encode));
-
-        let compress_seconds: Vec<f64> = outs.iter().map(|o| o.1).collect();
-        let payload_bytes: Vec<u64> = outs.iter().map(|o| o.2).collect();
-        let elements = outs[0].3;
-        let views: Vec<Vec<(String, Tensor)>> = outs.into_iter().map(|o| o.0).collect();
-        let bucket = BucketReport {
-            tensors: n_tensors,
-            elements,
-            // A decoded exchange gathers every worker's compressed state;
-            // the bucket drains at the largest contribution.
-            wire_bytes: payload_bytes.iter().copied().max().unwrap_or(0) as usize,
-        };
-        let report =
-            AggAccum::default().report(vec![bucket], compress_seconds, payload_bytes, vec![0.0; n]);
-        (views, report)
-    }
-
-    /// The local-SGD delta exchange: encode + decode every worker's tensors
-    /// (lanes in parallel, memory updated on the decoded view), then average
-    /// the decoded views elementwise in rank order.
-    pub fn exchange_decoded_mean(
-        &mut self,
-        worker_tensors: Vec<Vec<(String, Tensor)>>,
-    ) -> (Vec<(String, Tensor)>, ExchangeReport) {
-        let (views, report) = self.decoded_views_inner(worker_tensors);
-        self.mean_of_views(views, report)
-    }
-
     /// Averages per-worker decoded views elementwise in rank order and
-    /// records the step — the local-SGD `Agg` of both decoded-mean paths.
+    /// records the step — the local-SGD `Agg`.
     fn mean_of_views(
         &mut self,
         views: Vec<Vec<(String, Tensor)>>,
@@ -1411,10 +1143,11 @@ impl<'a> GradientExchange<'a> {
     ///
     /// `plan` is the step's bucket layout — build it once from the streaming
     /// order with [`crate::PlanBuilder`]; boundaries depend only on dense
-    /// byte sizes, so every worker derives the identical plan and the
-    /// session stays bit-identical to [`exchange`](Self::exchange) at any
-    /// executor width. The engine caches the plan and its staging pools
-    /// across steps, so steady-state submits allocate nothing.
+    /// byte sizes, so every worker derives the identical plan, and every
+    /// fusion threshold yields the same bits (a `usize::MAX` threshold
+    /// exchanges the whole step as one bucket). The engine caches the plan
+    /// and its staging pools across steps, so steady-state submits
+    /// allocate nothing.
     ///
     /// An unfinished previous session (e.g. dropped mid-step after a worker
     /// fault) is discarded here; its pools are reset, not leaked.
@@ -1854,11 +1587,12 @@ pub struct BucketedExchange<'s, 'a> {
 }
 
 impl<'a> BucketedExchange<'_, 'a> {
-    /// Streams one gradient from `worker` into the session. Submissions may
-    /// arrive in any order and interleave freely across workers; each lane
-    /// encodes in *plan* order the moment its next slot fills, so the
-    /// result is bit-identical to the one-shot exchange regardless of
-    /// arrival interleaving (including for sequential-RNG compressors).
+    /// Streams one gradient from `worker` into the session and encodes, on
+    /// the calling thread, every slot the lane can now reach. Submissions
+    /// may arrive in any order and interleave freely across workers; each
+    /// lane encodes in *plan* order the moment its next slot fills, so the
+    /// result is bit-identical to in-order submission regardless of arrival
+    /// interleaving (including for sequential-RNG compressors).
     ///
     /// # Panics
     ///
@@ -2085,11 +1819,40 @@ mod tests {
             .collect()
     }
 
+    fn plan_for(grads: &[(String, Tensor)], fusion_bytes: usize) -> BucketPlan {
+        let mut b = crate::bucket::PlanBuilder::new(fusion_bytes);
+        for (name, t) in grads {
+            b.push(name, t.len());
+        }
+        b.finish()
+    }
+
+    /// Submits every worker's stream in order to `session`.
+    fn submit_all(session: &mut BucketedExchange<'_, '_>, inputs: &[Vec<(String, Tensor)>]) {
+        for (w, list) in inputs.iter().enumerate() {
+            for (name, g) in list {
+                session.submit(w, name, g);
+            }
+        }
+    }
+
+    /// One encoded session step over `inputs` at `fusion` bytes per bucket.
+    fn step(
+        engine: &mut GradientExchange<'_>,
+        inputs: &[Vec<(String, Tensor)>],
+        fusion: usize,
+    ) -> (Vec<(String, Tensor)>, ExchangeReport) {
+        let plan = plan_for(&inputs[0], fusion);
+        let mut session = engine.begin_step(&plan);
+        submit_all(&mut session, inputs);
+        session.finish()
+    }
+
     #[test]
-    fn baseline_exchange_averages_and_accounts_bytes() {
+    fn single_bucket_session_averages_and_accounts_bytes() {
         let (mut cs, mut ms) = fleet(2);
-        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(1);
-        let (agg, report) = engine.exchange(grads(2, 2.0));
+        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
+        let (agg, report) = step(&mut engine, &grads(2, 2.0), usize::MAX);
         assert_eq!(agg.len(), 2);
         assert_eq!(agg[0].0, "a");
         // Mean of worker grads: first element (0 + 2)/2 = 1.
@@ -2109,37 +1872,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_exchanges_are_bit_identical() {
-        let run = |threads: usize| {
-            let (mut cs, mut ms) = fleet(3);
-            let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(threads);
-            let mut out = Vec::new();
-            for step in 0..4 {
-                let (agg, report) = engine.exchange(grads(3, step as f32));
-                out.push((agg, report.wire_bytes(), report.total_payload_bytes()));
-            }
-            out
-        };
-        let seq = run(1);
-        let par = run(3);
-        for ((agg_s, wire_s, bytes_s), (agg_p, wire_p, bytes_p)) in seq.iter().zip(par.iter()) {
-            assert_eq!(wire_s, wire_p);
-            assert_eq!(bytes_s, bytes_p);
-            for ((na, ta), (nb, tb)) in agg_s.iter().zip(agg_p.iter()) {
-                assert_eq!(na, nb);
-                assert_eq!(ta.as_slice(), tb.as_slice());
-            }
-        }
-    }
-
-    #[test]
     fn decoded_views_roundtrip_without_memory() {
         let mut cs: Vec<Box<dyn Compressor>> = (0..2)
             .map(|_| Box::new(NoCompression::new()) as Box<dyn Compressor>)
             .collect();
-        let mut engine = GradientExchange::from_compressors(&mut cs).with_threads(2);
+        let mut engine = GradientExchange::from_compressors(&mut cs);
         let inputs = grads(2, 1.0);
-        let (views, report) = engine.decoded_views(inputs.clone());
+        let plan = plan_for(&inputs[0], usize::MAX);
+        let mut session = engine.begin_decoded_step(&plan);
+        submit_all(&mut session, &inputs);
+        let (views, report) = session.finish_decoded_views();
         // Lossless codec: every worker's view equals its input.
         for (view, input) in views.iter().zip(&inputs) {
             for ((na, ta), (nb, tb)) in view.iter().zip(input) {
@@ -2152,12 +1894,25 @@ mod tests {
     }
 
     #[test]
-    fn decoded_mean_matches_manual_average() {
-        let (mut cs, mut ms) = fleet(2);
-        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
-        let (mean, _) = engine.exchange_decoded_mean(grads(2, 4.0));
-        assert_eq!(mean[0].1.as_slice(), &[2.0, 1.0, -1.0, 2.0]);
-        assert_eq!(mean[1].1.as_slice(), &[0.5, 0.5]);
+    fn decoded_mean_matches_manual_average_at_any_fusion_threshold() {
+        let inputs = grads(2, 4.0);
+        for fusion in [1usize, usize::MAX] {
+            let (mut cs, mut ms) = fleet(2);
+            let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
+            let mut session = engine.begin_decoded_step(&plan_for(&inputs[0], fusion));
+            submit_all(&mut session, &inputs);
+            let (mean, report) = session.finish_decoded_mean();
+            assert_eq!(
+                mean[0].1.as_slice(),
+                &[2.0, 1.0, -1.0, 2.0],
+                "fusion={fusion}"
+            );
+            assert_eq!(mean[1].1.as_slice(), &[0.5, 0.5], "fusion={fusion}");
+            // Each bucket drains at the largest contribution; the buckets
+            // together carry one worker's whole stream.
+            assert_eq!(report.wire_bytes(), 24, "fusion={fusion}");
+            assert_eq!(report.total_payload_bytes(), 48, "fusion={fusion}");
+        }
     }
 
     #[test]
@@ -2193,11 +1948,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one gradient set per worker")]
-    fn mismatched_worker_count_panics() {
+    #[should_panic(expected = "worker rank out of range")]
+    fn out_of_range_worker_panics() {
+        let inputs = grads(2, 1.0);
+        let plan = plan_for(&inputs[0], usize::MAX);
         let (mut cs, mut ms) = fleet(2);
         let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
-        let _ = engine.exchange(grads(3, 1.0));
+        let mut session = engine.begin_step(&plan);
+        let (name, g) = &inputs[0][0];
+        session.submit(2, name, g);
+    }
+
+    #[test]
+    #[should_panic(expected = "session mode mismatch")]
+    fn decoded_session_cannot_finish_as_encoded() {
+        let inputs = grads(2, 1.0);
+        let plan = plan_for(&inputs[0], usize::MAX);
+        let (mut cs, mut ms) = fleet(2);
+        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
+        let mut session = engine.begin_decoded_step(&plan);
+        submit_all(&mut session, &inputs);
+        let _ = session.finish();
     }
 
     #[test]
@@ -2209,38 +1980,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one executor thread")]
-    fn zero_threads_rejected() {
+    #[should_panic(expected = "at least one merge shard")]
+    fn zero_merge_shards_rejected() {
         let (mut cs, mut ms) = fleet(1);
-        let _ = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(0);
-    }
-
-    fn plan_for(grads: &[(String, Tensor)], fusion_bytes: usize) -> BucketPlan {
-        let mut b = crate::bucket::PlanBuilder::new(fusion_bytes);
-        for (name, t) in grads {
-            b.push(name, t.len());
-        }
-        b.finish()
+        let _ = GradientExchange::from_fleet(&mut cs, &mut ms).with_merge_shards(0);
     }
 
     #[test]
-    fn pipelined_session_matches_one_shot() {
-        for fusion in [1usize, 8, usize::MAX] {
+    fn fusion_threshold_never_changes_results_or_totals() {
+        let inputs = grads(2, 2.0);
+        let (mut cs, mut ms) = fleet(2);
+        let mut reference = GradientExchange::from_fleet(&mut cs, &mut ms);
+        let (expect, ref_report) = step(&mut reference, &inputs, usize::MAX);
+        for fusion in [1usize, 8] {
             let (mut cs, mut ms) = fleet(2);
-            let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(1);
-            let inputs = grads(2, 2.0);
-            let plan = plan_for(&inputs[0], fusion);
-            let mut session = engine.begin_step(&plan);
-            for (w, list) in inputs.iter().enumerate() {
-                for (name, g) in list {
-                    session.submit(w, name, g);
-                }
-            }
-            let (agg, report) = session.finish();
-
-            let (mut cs2, mut ms2) = fleet(2);
-            let mut reference = GradientExchange::from_fleet(&mut cs2, &mut ms2).with_threads(1);
-            let (expect, ref_report) = reference.exchange(grads(2, 2.0));
+            let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
+            let (agg, report) = step(&mut engine, &inputs, fusion);
             assert_eq!(agg.len(), expect.len());
             for ((na, ta), (nb, tb)) in agg.iter().zip(&expect) {
                 assert_eq!(na, nb, "fusion={fusion}");
@@ -2254,8 +2009,7 @@ mod tests {
                 ref_report.total_payload_bytes()
             );
             assert_eq!(report.elements(), ref_report.elements());
-            let want_buckets = if fusion == usize::MAX { 1 } else { 2 };
-            assert_eq!(report.buckets.len(), want_buckets, "fusion={fusion}");
+            assert_eq!(report.buckets.len(), 2, "fusion={fusion}");
         }
     }
 
@@ -2265,7 +2019,7 @@ mod tests {
         let plan = plan_for(&inputs[0], 1);
         let run = |orders: [&[usize]; 2]| {
             let (mut cs, mut ms) = fleet(2);
-            let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(1);
+            let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
             let mut session = engine.begin_step(&plan);
             // Interleave workers, each submitting in its own order.
             for k in 0..plan.n_tensors() {
@@ -2287,16 +2041,12 @@ mod tests {
     #[test]
     fn session_pools_persist_and_overlap_is_reported() {
         let (mut cs, mut ms) = fleet(2);
-        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(1);
+        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
         let inputs = grads(2, 1.0);
         let plan = plan_for(&inputs[0], 1); // two buckets → bucket 0 is hidden
         for _ in 0..3 {
             let mut session = engine.begin_step(&plan);
-            for (w, list) in inputs.iter().enumerate() {
-                for (name, g) in list {
-                    session.submit(w, name, g);
-                }
-            }
+            submit_all(&mut session, &inputs);
             let (agg, report) = session.finish();
             assert_eq!(agg.len(), 2);
             assert_eq!(report.buckets.len(), 2);
@@ -2309,34 +2059,6 @@ mod tests {
         }
         // Per-bucket message accounting: 3 steps × 2 buckets.
         assert_eq!(engine.traffic().messages(0), 6);
-    }
-
-    #[test]
-    fn decoded_session_matches_decoded_mean() {
-        let inputs = grads(2, 4.0);
-        let plan = plan_for(&inputs[0], usize::MAX);
-        let (mut cs, mut ms) = fleet(2);
-        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(1);
-        let mut session = engine.begin_decoded_step(&plan);
-        for (w, list) in inputs.iter().enumerate() {
-            for (name, g) in list {
-                session.submit(w, name, g);
-            }
-        }
-        let (mean, report) = session.finish_decoded_mean();
-
-        let (mut cs2, mut ms2) = fleet(2);
-        let mut reference = GradientExchange::from_fleet(&mut cs2, &mut ms2).with_threads(1);
-        let (expect, ref_report) = reference.exchange_decoded_mean(grads(2, 4.0));
-        for ((na, ta), (nb, tb)) in mean.iter().zip(&expect) {
-            assert_eq!(na, nb);
-            assert_eq!(ta.as_slice(), tb.as_slice());
-        }
-        assert_eq!(report.wire_bytes(), ref_report.wire_bytes());
-        assert_eq!(
-            report.total_payload_bytes(),
-            ref_report.total_payload_bytes()
-        );
     }
 
     #[test]
@@ -2368,7 +2090,7 @@ mod tests {
         let inputs = grads(2, 1.0);
         let plan = plan_for(&inputs[0], usize::MAX);
         let (mut cs, mut ms) = fleet(2);
-        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms).with_threads(1);
+        let mut engine = GradientExchange::from_fleet(&mut cs, &mut ms);
         {
             let mut session = engine.begin_step(&plan);
             let (name, g) = &inputs[0][0];
@@ -2376,11 +2098,7 @@ mod tests {
             // Dropped mid-step (e.g. a worker fault unwound the loop).
         }
         let mut session = engine.begin_step(&plan);
-        for (w, list) in inputs.iter().enumerate() {
-            for (name, g) in list {
-                session.submit(w, name, g);
-            }
-        }
+        submit_all(&mut session, &inputs);
         let (agg, _) = session.finish();
         assert_eq!(agg.len(), 2);
     }

@@ -149,9 +149,9 @@ pub fn run_local_sgd(
     let n = cfg.n_workers;
     assert_eq!(compressors.len(), n, "need one compressor per worker");
     assert_eq!(memories.len(), n, "need one memory per worker");
-    // The shared exchange engine drives the compressed delta rounds: the
-    // per-worker compensate → compress → decode → memory-update lanes run
-    // on its scoped-thread executor, the decoded deltas are averaged in
+    // The shared exchange engine drives the compressed delta rounds: each
+    // worker's compensate → compress → decode → memory-update lane encodes
+    // as its deltas are submitted, and the decoded deltas are averaged in
     // rank order.
     let mut engine = GradientExchange::from_fleet(compressors, memories);
     let mut replicas: Vec<Network> = (0..n).map(&make_net).collect();
@@ -242,7 +242,7 @@ pub fn run_gossip(
     assert_eq!(compressors.len(), n, "need one compressor per worker");
     // Gossip compresses raw parameters (no error feedback), so the engine
     // runs memory-less lanes; each round's decoded views come back
-    // rank-ordered from the scoped-thread executor.
+    // rank-ordered.
     let mut engine = GradientExchange::from_compressors(compressors);
     let mut replicas: Vec<Network> = (0..n).map(&make_net).collect();
     let mut opts: Vec<Box<dyn Optimizer>> = (0..n).map(&make_opt).collect();

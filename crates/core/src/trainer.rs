@@ -191,10 +191,10 @@ pub struct TrainConfig {
     /// deterministic fault plan plus collective timeout. Ignored by
     /// [`run_simulated`], which models a fault-free cluster.
     pub fault: Option<grace_comm::FaultConfig>,
-    /// Executor width for the exchange engine's per-worker compression
-    /// stage: `None` runs one thread per worker up to the host's
-    /// parallelism, `Some(1)` forces the sequential path. Results are
-    /// bit-identical either way.
+    /// Shard count of the in-process [`crate::AggregationPlan::ShardedMerge`]
+    /// fold: `None` uses the host's parallelism capped at the worker count,
+    /// `Some(1)` folds serially. Results are bit-identical at any count,
+    /// and no other plan reads it.
     pub exchange_threads: Option<usize>,
     /// Tensor-fusion threshold in bytes: gradients stream out of backprop
     /// in reverse layer order and fuse into buckets of up to this many
@@ -435,8 +435,8 @@ pub fn run_simulated(
     assert_eq!(memories.len(), n, "need one memory per worker");
     let mut engine =
         GradientExchange::from_fleet(compressors, memories).with_aggregation(cfg.agg_plan);
-    if let Some(threads) = cfg.exchange_threads {
-        engine = engine.with_threads(threads);
+    if let Some(shards) = cfg.exchange_threads {
+        engine = engine.with_merge_shards(shards);
     }
     let strategy = engine.strategy();
     let compressor_name = engine.compressor_name();

@@ -10,7 +10,7 @@
 //! show is *where the work went*:
 //!
 //! * `sharded_merge` keeps incast at `n × dense` but spreads the fold over
-//!   executor shards (CPU column shrinks on wide hosts);
+//!   merge shards (CPU column shrinks on wide hosts);
 //! * `homomorphic_sum` never materializes decoded contributions, so for the
 //!   shared-scale quantizers and the sketch both columns drop by roughly
 //!   the method's compression ratio. Methods without the capability

@@ -21,7 +21,11 @@
 //! grace-launch [--ranks N] [--compressor ID|baseline|all] [--epochs E]
 //!              [--uds] [--no-verify] [--trace DIR]
 //!              [--drop RANK@OP] [--dump-on-exit]
+//! grace-launch --help
 //! ```
+//!
+//! A malformed command line prints a one-line error plus the usage and
+//! exits 2.
 //!
 //! `--trace DIR` turns on cross-rank tracing: every child runs with
 //! `GRACE_TELEMETRY=trace` and exports `DIR/<compressor>/rank<k>.trace.json`
@@ -83,26 +87,30 @@ fn workload(
 }
 
 /// Parses the `RANK@OP` form of `--drop` (also carried in [`ENV_DROP`]).
-fn parse_drop(s: &str) -> (usize, u64) {
-    let (rank, op) = s
-        .split_once('@')
-        .unwrap_or_else(|| panic!("--drop expects RANK@OP, got '{s}'"));
-    (
-        rank.parse().expect("--drop rank"),
-        op.parse().expect("--drop op"),
-    )
+fn parse_drop(s: &str) -> Result<(usize, u64), String> {
+    s.split_once('@')
+        .and_then(|(rank, op)| Some((rank.parse().ok()?, op.parse().ok()?)))
+        .ok_or_else(|| format!("--drop expects RANK@OP, got '{s}'"))
 }
 
-fn make_worker(
-    compressor_id: &str,
-    world: usize,
-    rank: usize,
-) -> (
+/// A registry or extension method by id.
+fn find_spec(id: &str) -> Option<grace_core::CompressorSpec> {
+    registry::find(id).or_else(|| {
+        extensions::extension_specs()
+            .into_iter()
+            .find(|s| s.id == id)
+    })
+}
+
+/// One rank's model, optimizer, compressor and memory.
+type Worker = (
     Network,
     Box<dyn Optimizer>,
     Box<dyn Compressor>,
     Box<dyn Memory>,
-) {
+);
+
+fn make_worker(compressor_id: &str, world: usize, rank: usize) -> Worker {
     let net = models::mlp_classifier("m", 8, &[12], 2, SEED);
     let opt: Box<dyn Optimizer> = Box::new(Momentum::new(0.05, 0.9));
     let (compressor, memory) = if compressor_id == "baseline" {
@@ -111,12 +119,7 @@ fn make_worker(
             Box::new(NoMemory::new()) as Box<dyn Memory>,
         )
     } else {
-        let spec = registry::find(compressor_id)
-            .or_else(|| {
-                extensions::extension_specs()
-                    .into_iter()
-                    .find(|s| s.id == compressor_id)
-            })
+        let spec = find_spec(compressor_id)
             .unwrap_or_else(|| panic!("unknown compressor id '{compressor_id}'"));
         let (mut cs, mut ms) = registry::build_fleet(&spec, world, SEED);
         (cs.swap_remove(rank), ms.swap_remove(rank))
@@ -137,7 +140,14 @@ fn child_main() -> i32 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(2);
-    let drop = std::env::var(ENV_DROP).ok().map(|s| parse_drop(&s));
+    let drop = match std::env::var(ENV_DROP).ok().map(|s| parse_drop(&s)) {
+        None => None,
+        Some(Ok(drop)) => Some(drop),
+        Some(Err(e)) => {
+            eprintln!("grace-launch child: {e}");
+            return 2;
+        }
+    };
     let (task, cfg) = workload(net_cfg.world, epochs, drop);
     let world = net_cfg.world;
     let make = move |rank: usize| make_worker(&compressor_id, world, rank);
@@ -175,7 +185,26 @@ struct Args {
     dump_on_exit: bool,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: grace-launch [--ranks N] [--compressor ID|baseline|all] [--epochs E]
+                    [--uds] [--no-verify] [--trace DIR]
+                    [--drop RANK@OP] [--dump-on-exit]";
+
+/// What the command line asks for.
+enum Invocation {
+    Run(Args),
+    Help,
+}
+
+/// Parses a positive count flag value.
+fn positive(flag: &str, v: &str) -> Result<usize, String> {
+    v.parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("{flag} expects a positive integer, got '{v}'"))
+}
+
+/// Parses the parent's command line (without the program name).
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
     let mut args = Args {
         ranks: 4,
         compressor: "all".to_string(),
@@ -186,29 +215,39 @@ fn parse_args() -> Args {
         drop: None,
         dump_on_exit: false,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match a.as_str() {
-            "--ranks" => args.ranks = value("--ranks").parse().expect("--ranks"),
-            "--compressor" => args.compressor = value("--compressor"),
-            "--epochs" => args.epochs = value("--epochs").parse().expect("--epochs"),
+            "-h" | "--help" => return Ok(Invocation::Help),
+            "--ranks" => args.ranks = positive("--ranks", &value("--ranks")?)?,
+            "--compressor" => args.compressor = value("--compressor")?,
+            "--epochs" => args.epochs = positive("--epochs", &value("--epochs")?)?,
             "--uds" => args.uds = true,
             "--no-verify" => args.verify = false,
-            "--trace" => args.trace_dir = Some(PathBuf::from(value("--trace"))),
-            "--drop" => args.drop = Some(parse_drop(&value("--drop"))),
+            "--trace" => args.trace_dir = Some(PathBuf::from(value("--trace")?)),
+            "--drop" => args.drop = Some(parse_drop(&value("--drop")?)?),
             "--dump-on-exit" => args.dump_on_exit = true,
-            other => panic!("unknown argument '{other}'"),
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    assert!(args.ranks > 0, "--ranks must be positive");
+    if !matches!(args.compressor.as_str(), "all" | "baseline")
+        && find_spec(&args.compressor).is_none()
+    {
+        return Err(format!("unknown compressor id '{}'", args.compressor));
+    }
     if let Some((rank, _)) = args.drop {
-        assert!(rank < args.ranks, "--drop rank out of range");
+        if rank >= args.ranks {
+            return Err(format!(
+                "--drop rank {rank} is out of range for {} ranks",
+                args.ranks
+            ));
+        }
         // A faulted run's parameters are legitimately different from the
         // clean threaded replay; the drop flag is for post-mortem drills.
         args.verify = false;
     }
-    args
+    Ok(Invocation::Run(args))
 }
 
 /// Spawns `world` child ranks against a fresh hub and returns the agreed
@@ -337,7 +376,17 @@ fn verify_against_threaded(args: &Args, compressor_id: &str, socket_crc: u32) {
 }
 
 fn parent_main() -> i32 {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Invocation::Run(args)) => args,
+        Ok(Invocation::Help) => {
+            println!("{USAGE}");
+            return 0;
+        }
+        Err(e) => {
+            eprintln!("grace-launch: {e}\n{USAGE}");
+            return 2;
+        }
+    };
     let compressors: Vec<String> = if args.compressor == "all" {
         let mut ids = vec!["baseline".to_string()];
         ids.extend(registry::all_specs().into_iter().map(|s| s.id.to_string()));

@@ -50,22 +50,11 @@ pub fn scale_from_env() -> u32 {
         .unwrap_or(100)
 }
 
-/// Reads `GRACE_EXCHANGE_THREADS` from the environment: the exchange
-/// engine's executor width (`1` forces sequential compression; unset lets
-/// the engine match the host's parallelism). Results are bit-identical
-/// either way — this is a wall-clock knob only.
-pub fn exchange_threads_from_env() -> Option<usize> {
-    std::env::var("GRACE_EXCHANGE_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-}
-
 /// Reads `GRACE_FUSION_BYTES` from the environment: the tensor-fusion
-/// bucket threshold of the pipelined exchange. Like the executor width,
-/// this never changes the trained bits — only how much compression can be
-/// hidden under backprop (`1` isolates every tensor, large values approach
-/// the old whole-step exchange).
+/// bucket threshold of the pipelined exchange. It never changes the
+/// trained bits — only how much compression can be hidden under backprop
+/// (`1` isolates every tensor, `usize::MAX` exchanges a whole step as one
+/// bucket).
 pub fn fusion_bytes_from_env() -> usize {
     std::env::var("GRACE_FUSION_BYTES")
         .ok()
@@ -130,7 +119,7 @@ pub fn run_cell(bench: &Benchmark, compressor_id: Option<&str>, rc: &RunnerConfi
         evals_per_epoch: 1,
         lr_schedule: None,
         fault: None,
-        exchange_threads: exchange_threads_from_env(),
+        exchange_threads: None,
         fusion_bytes: fusion_bytes_for_model(net.param_count()),
         // Cells inherit the process-wide GRACE_TELEMETRY choice so one env
         // var covers a whole sweep, and likewise GRACE_METRICS_ADDR for the

@@ -335,6 +335,28 @@ impl StageTimer {
         dur_ns
     }
 
+    /// Closes the first `ns` nanoseconds of this timer's interval as a
+    /// `name` span on `track` and returns a timer starting where that span
+    /// ends — for a call that measured its own phases, so both phases land
+    /// on the timeline back to back. A zero-length phase leaves no span.
+    #[inline]
+    pub fn split(self, name: &'static str, track: Track, ns: u64) -> StageTimer {
+        if ns > 0 && should_retain() {
+            retain(TraceEvent {
+                name,
+                track,
+                ts_ns: since_epoch_ns(self.start),
+                dur_ns: ns,
+                kind: EventKind::Span,
+                arg: None,
+                arg2: None,
+            });
+        }
+        StageTimer {
+            start: self.start + std::time::Duration::from_nanos(ns),
+        }
+    }
+
     /// Like [`finish`](Self::finish) with one small argument attached to
     /// the retained span.
     #[inline]
@@ -442,6 +464,29 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].dur_ns, ns);
         assert_eq!(events[0].arg, Some(("bytes", 7)));
+    }
+
+    #[test]
+    fn split_lays_two_phases_back_to_back() {
+        let _g = serial();
+        set_level(Level::Trace);
+        clear();
+        let t = StageTimer::start();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let rest = t
+            .split("first", Track::Stage(Stage::Decompress), 500_000)
+            .finish("second", Track::Stage(Stage::Aggregate));
+        let skipped = StageTimer::start().split("empty", Track::Stage(Stage::Decompress), 0);
+        let _ = skipped.finish("after_empty", Track::Stage(Stage::Aggregate));
+        let events = take_events();
+        set_level(Level::Off);
+        assert_eq!(events.len(), 3, "a zero-length phase leaves no span");
+        assert_eq!((events[0].name, events[0].dur_ns), ("first", 500_000));
+        assert_eq!(events[1].name, "second");
+        assert_eq!(events[1].ts_ns, events[0].ts_ns + 500_000);
+        assert_eq!(events[1].dur_ns, rest);
+        assert!(rest >= 500_000, "the second phase runs to the finish");
+        assert_eq!(events[2].name, "after_empty");
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Bit-equivalence regression tests for the `grace_core::exchange` engine.
 //!
 //! The golden checksums below were captured from `run_simulated` *before* the
-//! exchange loops were extracted into [`grace::core::exchange`]; the refactor
-//! (and its scoped-thread executor) must keep the trained parameters
-//! bit-identical for one quantization, one sparsification and one low-rank
-//! method. A second set of tests asserts that running the engine with
-//! `threads = n` produces exactly the same parameters and `ExchangeReport`
-//! byte counts as `threads = 1`.
+//! exchange loops were extracted into [`grace::core::exchange`]; every
+//! refactor since must keep the trained parameters bit-identical for one
+//! quantization, one sparsification and one low-rank method. A second set
+//! of tests asserts that the `ShardedMerge` shard count
+//! (`TrainConfig::exchange_threads`) changes neither the parameters nor the
+//! `ExchangeReport` byte counts.
 
 use grace::compressors::{PowerSgd, Qsgd, TopK};
 use grace::core::trainer::{run_simulated, CodecTiming};
-use grace::core::{Compressor, Memory, NoMemory, ResidualMemory, TrainConfig};
+use grace::core::{AggregationPlan, Compressor, Memory, NoMemory, ResidualMemory, TrainConfig};
 use grace::nn::data::ClassificationDataset;
 use grace::nn::models;
 use grace::nn::optim::Momentum;
@@ -94,7 +94,8 @@ fn powersgd_parameters_match_pre_refactor_golden() {
 /// sequential per-lane RNG substream, so feeding gradients in reverse layer
 /// order (deepest first, the overlap-friendly order) permutes the draws.
 /// The value is order-dependent but still fully deterministic — the
-/// equivalence tests below pin it across executor widths and fusion sizes.
+/// tests below pin it across merge shard counts, and
+/// `tests/pipeline_equivalence.rs` across fusion sizes.
 const GOLDEN_QSGD: u32 = 0xaa5f_d836;
 const GOLDEN_TOPK: u32 = 0xe0ae_0255;
 const GOLDEN_POWERSGD: u32 = 0xfc95_aeee;
@@ -124,11 +125,13 @@ fn trace_enabled_run_matches_goldens() {
     );
 }
 
-/// Full training run with an explicit executor width; returns the parameter
-/// checksum plus the byte accounting the `ExchangeReport`s fed into the
-/// result, so the determinism tests can compare both.
-fn threaded_run(
-    threads: usize,
+/// Full training run under `plan` with an explicit merge shard count;
+/// returns the parameter checksum plus the byte accounting the
+/// `ExchangeReport`s fed into the result, so the determinism tests can
+/// compare both.
+fn sharded_run(
+    plan: AggregationPlan,
+    shards: usize,
     make_c: impl Fn(usize) -> Box<dyn Compressor>,
     make_m: impl Fn() -> Box<dyn Memory>,
 ) -> (u32, f64) {
@@ -138,7 +141,8 @@ fn threaded_run(
     let mut opt = Momentum::new(0.05, 0.9);
     let mut cfg = TrainConfig::new(n, 8, 2, SEED);
     cfg.codec = CodecTiming::Free;
-    cfg.exchange_threads = Some(threads);
+    cfg.agg_plan = plan;
+    cfg.exchange_threads = Some(shards);
     let (mut cs, mut ms) = fleet(n, make_c, make_m);
     let res = run_simulated(&cfg, &mut net, &task, &mut opt, &mut cs, &mut ms);
     let mut bytes = Vec::new();
@@ -151,19 +155,20 @@ fn threaded_run(
     (crc32(&bytes), res.bytes_per_worker_per_iter)
 }
 
-/// The scoped-thread executor must be invisible: `threads = n` and
-/// `threads = 1` produce bit-identical parameters and identical
-/// `ExchangeReport`-derived byte accounting.
+/// The merge shard count must be invisible: a 4-shard and a 1-shard
+/// `ShardedMerge` produce the reference plan's golden parameters and
+/// identical `ExchangeReport`-derived byte accounting.
 #[test]
-fn parallel_executor_is_bit_identical_to_sequential() {
-    for (name, make_c) in [
+fn merge_shard_count_never_changes_trained_bits() {
+    for (name, make_c, golden) in [
         (
             "qsgd",
             (|w: usize| Box::new(Qsgd::new(16, 1000 + w as u64)) as Box<dyn Compressor>)
                 as fn(usize) -> Box<dyn Compressor>,
+            GOLDEN_QSGD,
         ),
-        ("topk", |_w| Box::new(TopK::new(0.05))),
-        ("powersgd", |_w| Box::new(PowerSgd::new(2))),
+        ("topk", |_w| Box::new(TopK::new(0.05)), GOLDEN_TOPK),
+        ("powersgd", |_w| Box::new(PowerSgd::new(2)), GOLDEN_POWERSGD),
     ] {
         let make_m = || -> Box<dyn Memory> {
             if name == "qsgd" {
@@ -172,25 +177,29 @@ fn parallel_executor_is_bit_identical_to_sequential() {
                 Box::new(ResidualMemory::new())
             }
         };
-        let (seq_crc, seq_bytes) = threaded_run(1, make_c, make_m);
-        let (par_crc, par_bytes) = threaded_run(4, make_c, make_m);
+        let sharded = AggregationPlan::ShardedMerge;
+        let (seq_crc, seq_bytes) = sharded_run(sharded, 1, make_c, make_m);
+        let (par_crc, par_bytes) = sharded_run(sharded, 4, make_c, make_m);
         assert_eq!(
             seq_crc, par_crc,
-            "{name}: parameters diverged under parallelism"
+            "{name}: parameters diverged across shards"
         );
+        assert_eq!(par_crc, golden, "{name}: sharded merge left the golden");
         assert_eq!(
             seq_bytes.to_bits(),
             par_bytes.to_bits(),
-            "{name}: byte accounting diverged under parallelism"
+            "{name}: byte accounting diverged across shards"
         );
     }
 }
 
-/// The sequential executor path must itself match the pre-refactor goldens
-/// (i.e. `threads = 1` is not a differently-ordered code path).
+/// An explicit `exchange_threads = 1` must itself match the pre-refactor
+/// goldens (i.e. a single merge shard is not a differently-ordered code
+/// path).
 #[test]
 fn explicit_sequential_executor_matches_goldens() {
-    let (crc, _) = threaded_run(
+    let (crc, _) = sharded_run(
+        AggregationPlan::DecodeThenMerge,
         1,
         |_w| Box::new(PowerSgd::new(2)),
         || Box::new(ResidualMemory::new()),

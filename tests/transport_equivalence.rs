@@ -3,7 +3,7 @@
 //!
 //! This is the transport PR's centerpiece harness. The training loop is
 //! backend-independent, so for every registered compression method (plus
-//! the extension set), every executor width and every fusion threshold, the
+//! the extension set), every merge shard count and every fusion threshold, the
 //! final parameter vector — digested to a CRC32 by
 //! [`grace::core::param_checksum`] — must be identical whether the
 //! collectives run over shared memory, crossbeam-style threads, localhost
@@ -68,7 +68,9 @@ fn run_sim(spec: &grace::core::CompressorSpec, cfg: &TrainConfig) -> (u32, f64) 
 }
 
 /// Every registered method and every extension trains bit-identically over
-/// the threaded board and over real TCP sockets.
+/// the threaded board, over real TCP sockets and in the simulator — the
+/// simulator's in-process session against the separately written
+/// rank-engine path.
 #[test]
 fn every_method_is_bit_identical_threaded_vs_socket() {
     let mut specs = registry::all_specs();
@@ -83,13 +85,24 @@ fn every_method_is_bit_identical_threaded_vs_socket() {
             spec.id
         );
         assert_eq!(threaded_q, socket_q, "'{}' quality diverged", spec.id);
+        let (sim_crc, sim_q) = run_sim(spec, &config(ExecBackend::Threads));
+        assert_eq!(
+            threaded_crc, sim_crc,
+            "'{}' diverged between threads and the simulator",
+            spec.id
+        );
+        assert_eq!(
+            threaded_q, sim_q,
+            "'{}' simulator quality diverged",
+            spec.id
+        );
     }
 }
 
 /// The three-way check (simulated ↔ threaded ↔ socket ↔ unix-socket) on a
 /// representative trio covering allgather (TopK), randomized quantization
 /// (QSGD, per-worker seeds) and low-rank allreduce (PowerSGD) — swept over
-/// executor widths and fusion thresholds, which must never change bits.
+/// merge shard counts and fusion thresholds, which must never change bits.
 #[test]
 fn widths_and_fusion_thresholds_never_change_bits() {
     for id in ["topk", "qsgd", "powersgd"] {
